@@ -1,29 +1,39 @@
 //! Criterion bench of the live evidence server: end-to-end HTTP
 //! round-trips against a real listener on 127.0.0.1 — segment ingest
-//! throughput, burn-down query latency and the metrics scrape — plus an
-//! ingest-saturation sweep over the live-state shard count.
+//! throughput, burn-down query latency and the metrics scrape — a
+//! read-cost sweep over the fleet size (the ledger snapshot plus report
+//! that burn-down and `/metrics` run, against the full roster fold that
+//! checkpoints run, at 1k and 100k vehicles), plus an ingest-saturation
+//! sweep over the live-state shard count.
 //!
 //! After the criterion groups run, the harness writes the machine-local
-//! perf baseline `results/BENCH_serve.json`: accepted events/second
-//! under concurrent client POSTs for `state_shards` ∈ {1, 2, 4, 8}, and
-//! asserts the sharded path is never slower than the single-lock
-//! baseline (within a 10 % noise margin). As with `BENCH_sim`'s worker
-//! scaling, the *shape* of the curve is machine-local: on a 1-CPU
-//! container every shard shares one core, so the sweep shows contention
-//! removal (flat-to-modest gains), not the multi-core scaling a fleet
-//! ingestion host would see.
+//! perf baseline `results/BENCH_serve.json`: the read-cost sweep, and
+//! accepted events/second under concurrent client POSTs for
+//! `state_shards` ∈ {1, 2, 4, 8}. It asserts the sharded path is never
+//! slower than the single-lock baseline (within a 10 % noise margin).
+//! As with `BENCH_sim`'s worker scaling, the *shape* of the curve is
+//! machine-local: on a 1-CPU container every shard shares one core, so
+//! the sweep shows contention removal (flat-to-modest gains), not the
+//! multi-core scaling a fleet ingestion host would see.
 
-use criterion::{criterion_group, Criterion};
+use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use qrn_bench::report::save_json;
+use qrn_core::allocation::Allocation;
 use qrn_core::examples::{paper_allocation, paper_classification, paper_norm};
+use qrn_core::incident::IncidentRecord;
+use qrn_core::norm::QuantitativeRiskNorm;
+use qrn_core::object::{Involvement, ObjectType};
+use qrn_fleet::burndown::{BurnDownConfig, ContextFilter, FleetReport};
+use qrn_fleet::event::FleetEvent;
+use qrn_fleet::ingest::{ingest_str, FleetState};
 use qrn_fleet::telemetry::TelemetryConfig;
-use qrn_serve::{ServeConfig, Server, ServerHandle};
-use qrn_units::Hours;
+use qrn_serve::{ServeConfig, Server, ServerHandle, ShardedState};
+use qrn_units::{Hours, Speed};
 
 fn quick() -> bool {
     std::env::var("QRN_BENCH_QUICK").is_ok_and(|v| v != "0" && !v.is_empty())
@@ -98,6 +108,146 @@ fn bench_burndown_query(c: &mut Criterion) {
         b.iter(|| roundtrip(addr, black_box(scrape)))
     });
     handle.stop().expect("drain");
+
+    // The read path without HTTP, swept over the fleet size: what a
+    // burn-down or scrape costs (snapshot + report) against what a
+    // checkpoint costs (the roster fold).
+    let reads = ReadFixture::new();
+    let mut group = c.benchmark_group("serve/read");
+    for vehicles in ROSTER_SWEEP {
+        let state = roster_state(vehicles);
+        group.bench_with_input(
+            BenchmarkId::new("snapshot_report", vehicles),
+            &state,
+            |b, state| b.iter(|| reads.snapshot_report(state)),
+        );
+        group.bench_with_input(BenchmarkId::new("fold", vehicles), &state, |b, state| {
+            b.iter(|| state.fold())
+        });
+    }
+    group.finish();
+}
+
+/// Fleet sizes of the read-cost sweep.
+const ROSTER_SWEEP: [usize; 2] = [1_000, 100_000];
+
+/// Vehicles per pre-ingested segment, as in a fleet upload.
+const VEHICLES_PER_SEGMENT: usize = 8;
+
+/// ODD bands the sweep's telemetry reports in (canonical context keys).
+const BANDS: [&str; 4] = [
+    "lighting=day,zone=urban",
+    "lighting=night,zone=urban",
+    "lighting=day,zone=rural",
+    "lighting=night,zone=rural",
+];
+
+/// Live state with `vehicles` distinct vehicles, ingested as
+/// 8-vehicle segments of banded telemetry: two dyadic exposure lines per
+/// vehicle, and a VRU collision in every fourth segment.
+fn roster_state(vehicles: usize) -> ShardedState {
+    let classification = paper_classification().expect("paper example");
+    let state = ShardedState::new(2, FleetState::default());
+    let mut body = String::new();
+    for first in (0..vehicles).step_by(VEHICLES_PER_SEGMENT) {
+        body.clear();
+        let segment = first / VEHICLES_PER_SEGMENT;
+        for vehicle in first..(first + VEHICLES_PER_SEGMENT).min(vehicles) {
+            let band = Some(BANDS[vehicle % BANDS.len()]);
+            for quarters in [1, 3] {
+                let event = FleetEvent::Exposure {
+                    vehicle: format!("V{vehicle:06}"),
+                    hours: Hours::new(0.25 * f64::from(quarters)).expect("positive"),
+                };
+                body.push_str(&event.to_line_with_meta(None, band));
+                body.push('\n');
+            }
+        }
+        if segment.is_multiple_of(4) {
+            let event = FleetEvent::Incident {
+                vehicle: format!("V{first:06}"),
+                record: IncidentRecord::collision(
+                    Involvement::ego_with(ObjectType::Vru),
+                    Speed::from_kmh(5.0 + (segment % 40) as f64).expect("valid speed"),
+                ),
+            };
+            body.push_str(&event.to_line_with_meta(None, Some(BANDS[first % BANDS.len()])));
+            body.push('\n');
+        }
+        state.ingest(&ingest_str(&body, &classification, 1).expect("segment ingests"));
+    }
+    assert_eq!(state.vehicle_count(), vehicles as u64);
+    state
+}
+
+/// The norm and allocation a served item reports against.
+struct ReadFixture {
+    norm: QuantitativeRiskNorm,
+    allocation: Allocation,
+    config: BurnDownConfig,
+}
+
+impl ReadFixture {
+    fn new() -> Self {
+        let classification = paper_classification().expect("paper example");
+        ReadFixture {
+            norm: paper_norm().expect("paper example"),
+            allocation: paper_allocation(&classification).expect("paper example"),
+            config: BurnDownConfig::default(),
+        }
+    }
+
+    /// What `GET /v1/burndown` and `/metrics` compute per item.
+    fn snapshot_report(&self, state: &ShardedState) -> FleetReport {
+        state
+            .snapshot()
+            .report(
+                &self.norm,
+                &self.allocation,
+                &self.config,
+                &ContextFilter::all(),
+            )
+            .expect("report computes")
+    }
+}
+
+/// Median wall time of `repeats` runs of `f`.
+fn median_time<O>(repeats: usize, mut f: impl FnMut() -> O) -> Duration {
+    let mut times: Vec<Duration> = (0..repeats)
+        .map(|_| {
+            let start = Instant::now();
+            black_box(f());
+            start.elapsed()
+        })
+        .collect();
+    times.sort();
+    times[times.len() / 2]
+}
+
+/// The read-cost rows of `results/BENCH_serve.json`: per fleet size, the
+/// median snapshot + report time and the median roster-fold time.
+fn read_cost_rows() -> Vec<serde_json::Value> {
+    let reads = ReadFixture::new();
+    let repeats = if quick() { 5 } else { 21 };
+    ROSTER_SWEEP
+        .iter()
+        .map(|&vehicles| {
+            let state = roster_state(vehicles);
+            let report = median_time(repeats, || reads.snapshot_report(&state));
+            let fold = median_time(repeats, || state.fold());
+            println!(
+                "serve/read vehicles={vehicles}: snapshot+report {:.1} us, fold {:.2} ms",
+                report.as_secs_f64() * 1e6,
+                fold.as_secs_f64() * 1e3
+            );
+            serde_json::json!({
+                "vehicles": vehicles,
+                "repeats": repeats,
+                "snapshot_report_us_median": report.as_secs_f64() * 1e6,
+                "fold_ms_median": fold.as_secs_f64() * 1e3,
+            })
+        })
+        .collect()
 }
 
 /// One saturation measurement: `clients` concurrent threads each POST
@@ -164,6 +314,7 @@ fn emit_serve_baseline() {
         .map(usize::from)
         .unwrap_or(1);
     let (clients, posts_per_client) = if quick() { (4, 6) } else { (4, 24) };
+    let read_cost = read_cost_rows();
 
     let mut rows = Vec::new();
     let mut baseline = 0.0f64;
@@ -189,9 +340,12 @@ fn emit_serve_baseline() {
             "clients": clients,
             "posts_per_client": posts_per_client,
             "quick": quick(),
+            "read_cost": read_cost,
             "saturation": rows,
-            "note": "events/second under concurrent ingest POSTs vs live-state shard \
-                     count; on a 1-CPU container all shards share one core, so the \
+            "note": "read_cost: a burn-down/scrape read (ledger snapshot + report) stays \
+                     flat in the fleet size while the checkpoint fold grows with it; \
+                     saturation: events/second under concurrent ingest POSTs vs live-state \
+                     shard count; on a 1-CPU container all shards share one core, so the \
                      curve shows lock-contention removal, not multi-core scaling",
         }),
     );

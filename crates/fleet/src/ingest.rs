@@ -47,6 +47,15 @@ pub struct VehicleState {
     pub observations: u64,
 }
 
+impl VehicleState {
+    /// Adds a later tally of the same vehicle: exposure hours and
+    /// observation counts both sum.
+    pub fn absorb(&mut self, later: &VehicleState) {
+        self.exposure_hours += later.exposure_hours;
+        self.observations += later.observations;
+    }
+}
+
 /// The live, mergeable state of fleet evidence: everything the burn-down
 /// tracker needs, nothing per-event.
 ///
@@ -111,16 +120,43 @@ impl FleetState {
     /// the integer tallies; exposure sums are floats, so byte-identical
     /// resume guarantees hold for *append-order* merges, which is how
     /// segment ingestion uses it.
+    ///
+    /// The merge is [`FleetState::merge_totals`] followed by a
+    /// per-vehicle add for each of `later`'s vehicles; callers that keep
+    /// the roster elsewhere (the live server's vehicle registry) merge
+    /// totals only and hand the roster over with
+    /// [`FleetState::take_vehicles`] / [`FleetState::set_vehicles`].
     pub fn merge(&mut self, later: &FleetState) {
-        self.evidence.merge(&later.evidence);
-        for (vehicle, v) in &later.vehicles {
-            let entry = self.vehicle_entry(vehicle);
-            entry.exposure_hours += v.exposure_hours;
-            entry.observations += v.observations;
+        self.merge_totals(later);
+        for (vehicle, tally) in &later.vehicles {
+            self.vehicle_entry(vehicle).absorb(tally);
         }
+    }
+
+    /// Merges everything but the roster: the evidence ledger, line and
+    /// event counts and skip tallies. A state only ever built this way
+    /// holds no vehicles.
+    pub fn merge_totals(&mut self, later: &FleetState) {
+        self.evidence.merge(&later.evidence);
         self.lines += later.lines;
         self.events += later.events;
         self.skipped.merge(&later.skipped);
+    }
+
+    /// Moves the roster out, leaving this state with no vehicles.
+    pub fn take_vehicles(&mut self) -> BTreeMap<String, VehicleState> {
+        std::mem::take(&mut self.vehicles)
+    }
+
+    /// Replaces the roster: the inverse of
+    /// [`FleetState::take_vehicles`].
+    pub fn set_vehicles(&mut self, roster: BTreeMap<String, VehicleState>) {
+        self.vehicles = roster;
+    }
+
+    /// Consumes the state, keeping only its evidence ledger.
+    pub fn into_evidence(self) -> EvidenceLedger {
+        self.evidence
     }
 
     /// Looks up a vehicle's state without cloning the id, interning (and
@@ -654,6 +690,32 @@ mod tests {
         assert_eq!(
             fold_states(std::iter::empty::<FleetState>()),
             FleetState::default()
+        );
+    }
+
+    /// `merge` is `merge_totals` plus a per-vehicle add, so a roster
+    /// kept elsewhere and handed back later (the live server's registry)
+    /// reproduces the merged state byte for byte.
+    #[test]
+    fn totals_then_roster_equals_merge() {
+        let classification = paper_classification().unwrap();
+        let first = ingest_str(&sample_log(3, 40), &classification, 2).unwrap();
+        let later = ingest_str(&sample_log(5, 30), &classification, 2).unwrap();
+        let mut merged = first.clone();
+        merged.merge(&later);
+
+        let mut totals = first.clone();
+        let mut roster = totals.take_vehicles();
+        totals.merge_totals(&later);
+        assert_eq!(totals.vehicle_count(), 0);
+        assert_eq!(totals.evidence(), merged.evidence());
+        for (vehicle, tally) in later.vehicles() {
+            roster.entry(vehicle.to_string()).or_default().absorb(tally);
+        }
+        totals.set_vehicles(roster);
+        assert_eq!(
+            serde_json::to_string(&totals).unwrap(),
+            serde_json::to_string(&merged).unwrap()
         );
     }
 

@@ -46,11 +46,13 @@
 //! Connections carry read/write timeouts and a request-body cap
 //! ([`http`]), so one stalled or abusive client cannot wedge a worker.
 //! Each item's live state is sharded ([`state`]): segments are parsed
-//! outside any lock and handed to one of N per-item
-//! [`FleetState`](qrn_fleet::ingest::FleetState) shards, so concurrent
-//! uploads don't serialise on a global state mutex; queries and
-//! checkpoints fold the shards with the exact dyadic merge `ingest_str`
-//! uses, keeping every artefact byte-identical to offline ingest. State
+//! outside any lock and their evidence handed to one of N per-item
+//! ledger shards, so concurrent uploads don't serialise on a global
+//! state mutex, while the vehicle roster is held once in a striped
+//! registry. Queries and scrapes merge only the shard ledgers;
+//! checkpoints also assemble the roster. Both use the exact dyadic merge
+//! `ingest_str` uses, keeping every artefact byte-identical to offline
+//! ingest. State
 //! checkpoints reuse `qrn-fleet`'s atomic write-to-temp + fsync + rename
 //! protocol, so the checkpoint after N ingested segments is
 //! byte-identical to `qrn fleet ingest` of the same segments offline.
@@ -66,7 +68,7 @@ pub mod server;
 pub mod state;
 
 pub use server::{ItemConfig, ServeConfig, Server, ServerHandle, DEFAULT_ITEM};
-pub use state::ShardedState;
+pub use state::{LedgerSnapshot, ShardedState};
 
 /// Errors starting or operating the evidence server.
 #[derive(Debug)]

@@ -16,15 +16,17 @@
 //! # State and determinism
 //!
 //! Each served *item* (a norm + classification + allocation triple) owns
-//! a [`ShardedState`]: N independent [`FleetState`] shards behind their
-//! own locks. Ingested segments are parsed *outside* any lock (the
-//! expensive part) and handed to one shard, so concurrent uploads only
-//! contend when every shard is busy. Queries and checkpoints fold the
-//! shards in ascending index order with the exact dyadic merge
-//! `ingest_str` uses for its block partials, so the folded state — and
-//! therefore every checkpoint and burn-down artefact — stays
-//! byte-identical to an offline `qrn fleet ingest` of the same segments
-//! (see [`crate::state`] for the argument and the property test).
+//! a [`ShardedState`]: N ledger shards behind their own locks and one
+//! striped vehicle roster. Ingested segments are parsed *outside* any
+//! lock (the expensive part) and handed to one shard, so concurrent
+//! uploads only contend when every shard is busy. Burn-down queries and
+//! metrics scrapes read a ledger-only snapshot, whose cost is flat in
+//! fleet size; checkpoints fold the shards and the roster. Both merge
+//! the shards in ascending index order with the exact dyadic merge
+//! `ingest_str` uses for its block partials, so every checkpoint and
+//! burn-down artefact stays byte-identical to an offline
+//! `qrn fleet ingest` of the same segments (see [`crate::state`] for the
+//! argument and the property test).
 //!
 //! With an evidence store configured, ingest instead funnels through the
 //! store's single writer thread, whose append hook merges each segment
@@ -56,7 +58,8 @@
 //! never consults the test.
 
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Read;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -68,9 +71,7 @@ use serde::{Deserialize, Serialize};
 use qrn_core::allocation::Allocation;
 use qrn_core::norm::QuantitativeRiskNorm;
 use qrn_core::IncidentClassification;
-use qrn_fleet::burndown::{
-    burn_down_evidence_filtered, burn_down_filtered, BurnDownConfig, ContextFilter, FleetReport,
-};
+use qrn_fleet::burndown::{BurnDownConfig, ContextFilter, FleetReport};
 use qrn_fleet::checkpoint;
 use qrn_fleet::event::SkipCounts;
 use qrn_fleet::ingest::{ingest_str, FleetState};
@@ -81,7 +82,7 @@ use qrn_store::{AppendHook, AppendReceipt, Store, StoreConfig, StoreReader, Stor
 
 use crate::http::{read_request, Request, Response};
 use crate::metrics::ServerMetrics;
-use crate::state::ShardedState;
+use crate::state::{LedgerSnapshot, ShardedState};
 use crate::ServeError;
 
 /// Name of the item the bare `/v1/ingest` and `/v1/burndown` routes
@@ -160,8 +161,8 @@ pub struct ServeConfig {
     pub io_timeout: Duration,
     /// Parse shard count for each uploaded segment (see [`ingest_str`]).
     pub shards: usize,
-    /// Live-state shards per item: independent [`FleetState`]s the
-    /// ingest handoff distributes over, folded deterministically for
+    /// Live-state shards per item: independent evidence ledgers the
+    /// ingest handoff distributes over, merged deterministically for
     /// queries and checkpoints.
     pub state_shards: usize,
     /// Base checkpoint file; each item's state is resumed from its
@@ -566,42 +567,26 @@ impl Inner {
         Response::json(serde_json::to_string_pretty(&reply).expect("reply is serialisable"))
     }
 
-    /// Computes one item's burn-down report from a state snapshot,
-    /// merging any configured design-time evidence — the same join `qrn
-    /// fleet report --evidence` performs offline. The filter restricts
-    /// which named contexts get refinement rows; pass
+    /// One item's evidence view: `snapshot` with any configured
+    /// design-time evidence merged into its owned ledger — the same join
+    /// `qrn fleet report --evidence` performs offline.
+    fn evidence_view(item: &Item, mut snapshot: LedgerSnapshot) -> LedgerSnapshot {
+        for ledger in &item.config.extra_evidence {
+            snapshot.evidence.merge(ledger);
+        }
+        snapshot
+    }
+
+    /// Computes one item's burn-down report from its evidence view. The
+    /// filter restricts which named contexts get refinement rows; pass
     /// [`ContextFilter::all`] for the unfiltered report.
     fn compute_report(
         item: &Item,
-        fleet: &FleetState,
+        view: &LedgerSnapshot,
         config: &BurnDownConfig,
         filter: &ContextFilter,
     ) -> Result<FleetReport, qrn_fleet::FleetError> {
-        if item.config.extra_evidence.is_empty() {
-            burn_down_filtered(
-                &item.config.norm,
-                &item.config.allocation,
-                fleet,
-                config,
-                filter,
-            )
-        } else {
-            let mut combined = fleet.evidence().clone();
-            for ledger in &item.config.extra_evidence {
-                combined.merge(ledger);
-            }
-            let mut report = burn_down_evidence_filtered(
-                &item.config.norm,
-                &item.config.allocation,
-                &combined,
-                config,
-                filter,
-            )?;
-            report.vehicles = fleet.vehicle_count();
-            report.events = fleet.events();
-            report.skipped = fleet.skipped();
-            Ok(report)
-        }
+        view.report(&item.config.norm, &item.config.allocation, config, filter)
     }
 
     /// Parses the query string shared by both burn-down routes. Unknown
@@ -718,7 +703,8 @@ impl Inner {
         if query.selector.is_some() || !query.filter.is_empty() {
             config.by_zone = true;
         }
-        let report = match Self::compute_report(item, &summary.state, &config, &query.filter) {
+        let view = Self::evidence_view(item, LedgerSnapshot::from(summary.state));
+        let report = match Self::compute_report(item, &view, &config, &query.filter) {
             Ok(report) => report,
             Err(e) => {
                 return Response::text(
@@ -766,8 +752,8 @@ impl Inner {
         if let Some(as_of) = query.as_of.clone() {
             return self.handle_burndown_as_of(item, &query, &as_of);
         }
-        // Spend the look, then fold a consistent snapshot and compute
-        // outside the look lock.
+        // Spend the look, then take a consistent ledger snapshot and
+        // compute outside the look lock.
         let looks = {
             let mut looks = item.looks.lock().expect("look mutex poisoned");
             for (incident, _) in item.config.allocation.budgets() {
@@ -775,12 +761,12 @@ impl Inner {
             }
             looks.clone()
         };
-        let fleet = item.state.fold();
+        let view = Self::evidence_view(item, item.state.snapshot());
         let mut config = self.config.burndown;
         if query.selector.is_some() || !query.filter.is_empty() {
             config.by_zone = true;
         }
-        let mut report = match Self::compute_report(item, &fleet, &config, &query.filter) {
+        let mut report = match Self::compute_report(item, &view, &config, &query.filter) {
             Ok(report) => report,
             Err(e) => {
                 return Response::text(
@@ -813,35 +799,27 @@ impl Inner {
     }
 
     fn handle_metrics(&self) -> Response {
-        // One fold per item, then every family rendered once with the
-        // item label varying inside it — the exposition format requires
-        // a family's samples to be contiguous.
+        // One ledger snapshot per item, then every family rendered once
+        // with the item label varying inside it — the exposition format
+        // requires a family's samples to be contiguous.
         struct ItemView<'a> {
             item: &'a Item,
-            fleet: FleetState,
+            evidence: LedgerSnapshot,
             looks: LookBook,
-            combined: EvidenceLedger,
         }
         let mut views = Vec::with_capacity(self.items.len());
         for item in &self.items {
-            let fleet = item.state.fold();
-            let looks = item.looks.lock().expect("look mutex poisoned").clone();
-            let mut combined = fleet.evidence().clone();
-            for ledger in &item.config.extra_evidence {
-                combined.merge(ledger);
-            }
             views.push(ItemView {
                 item,
-                fleet,
-                looks,
-                combined,
+                evidence: Self::evidence_view(item, item.state.snapshot()),
+                looks: item.looks.lock().expect("look mutex poisoned").clone(),
             });
         }
         let mut reports = Vec::with_capacity(views.len());
         for view in &views {
             match Self::compute_report(
                 view.item,
-                &view.fleet,
+                &view.evidence,
                 &self.config.burndown,
                 &ContextFilter::all(),
             ) {
@@ -879,7 +857,7 @@ impl Inner {
             out.sample_u64(
                 "qrn_fleet_lines_total",
                 &[("item", &view.item.config.name)],
-                view.fleet.lines(),
+                view.evidence.lines,
             );
         }
         out.family(
@@ -891,7 +869,7 @@ impl Inner {
             out.sample_u64(
                 "qrn_fleet_events_total",
                 &[("item", &view.item.config.name)],
-                view.fleet.events(),
+                view.evidence.events,
             );
         }
         out.family(
@@ -903,7 +881,7 @@ impl Inner {
             out.sample_u64(
                 "qrn_fleet_vehicles",
                 &[("item", &view.item.config.name)],
-                view.fleet.vehicle_count(),
+                view.evidence.vehicles,
             );
         }
         out.family(
@@ -912,7 +890,7 @@ impl Inner {
             MetricKind::Counter,
         );
         for view in &views {
-            let skipped = view.fleet.skipped();
+            let skipped = view.evidence.skipped;
             for (reason, count) in [
                 ("bad_json", skipped.bad_json),
                 ("not_an_object", skipped.not_an_object),
@@ -1004,7 +982,7 @@ impl Inner {
         // `item` label per served item.
         let ledgers: Vec<(&str, &EvidenceLedger)> = views
             .iter()
-            .map(|view| (view.item.config.name.as_str(), &view.combined))
+            .map(|view| (view.item.config.name.as_str(), &view.evidence.evidence))
             .collect();
         render_ledgers(&mut out, "qrn_evidence", &ledgers);
 
@@ -1212,6 +1190,14 @@ impl Inner {
         }
     }
 
+    /// Accepts connections and offers each to the bounded queue. When
+    /// the queue is full the connection is shed here: the accept thread
+    /// writes `429 Too Many Requests`, half-closes its side, and reads
+    /// and discards the client's pending request bytes (at most
+    /// [`SHED_DRAIN_BYTES`], for at most [`SHED_DRAIN_TIMEOUT`]) before
+    /// closing. Closing a socket with unread input makes the kernel
+    /// send RST, which can destroy the 429 before the client reads it;
+    /// the drain makes the close orderly.
     fn accept_loop(self: &Arc<Self>, listener: &TcpListener) {
         for conn in listener.incoming() {
             if self.shutdown.load(Ordering::SeqCst) {
@@ -1235,7 +1221,35 @@ impl Inner {
                 );
                 self.metrics.count_response(429);
                 let _ = response.write_to(&mut stream);
+                drain_and_close(stream);
             }
+        }
+    }
+}
+
+/// Most request bytes the accept thread reads and discards from a shed
+/// connection.
+const SHED_DRAIN_BYTES: usize = 64 * 1024;
+
+/// Longest the accept thread spends draining one shed connection.
+const SHED_DRAIN_TIMEOUT: Duration = Duration::from_millis(50);
+
+/// Closes a shed connection without a reset: half-closes the write side
+/// (the client sees the reply, then EOF) and discards pending input
+/// within the [`SHED_DRAIN_BYTES`] / [`SHED_DRAIN_TIMEOUT`] budget.
+fn drain_and_close(mut stream: TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + SHED_DRAIN_TIMEOUT;
+    let mut scratch = [0u8; 4096];
+    let mut drained = 0;
+    while drained < SHED_DRAIN_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        match stream.read(&mut scratch) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => drained += n,
         }
     }
 }
