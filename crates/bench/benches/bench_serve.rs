@@ -7,9 +7,12 @@
 //! sweep over the live-state shard count.
 //!
 //! After the criterion groups run, the harness writes the machine-local
-//! perf baseline `results/BENCH_serve.json`: the read-cost sweep, and
-//! accepted events/second under concurrent client POSTs for
-//! `state_shards` ∈ {1, 2, 4, 8}. It asserts the sharded path is never
+//! perf baseline `results/BENCH_serve.json`: the read-cost sweep, the
+//! report cost per read shape (plain, `?where=`, `?context=` and the
+//! full by-context report) on a 27-band ledger, and accepted
+//! events/second under concurrent client POSTs for
+//! `state_shards` ∈ {1, 2, 4, 8}. Every timing carries its repeat count
+//! and its quartiles. It asserts the sharded path is never
 //! slower than the single-lock baseline (within a 10 % noise margin).
 //! As with `BENCH_sim`'s worker scaling, the *shape* of the curve is
 //! machine-local: on a 1-CPU container every shard shares one core, so
@@ -20,7 +23,7 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use qrn_bench::report::save_json;
 use qrn_core::allocation::Allocation;
@@ -32,7 +35,9 @@ use qrn_fleet::burndown::{BurnDownConfig, ContextFilter, FleetReport};
 use qrn_fleet::event::FleetEvent;
 use qrn_fleet::ingest::{ingest_str, FleetState};
 use qrn_fleet::telemetry::TelemetryConfig;
-use qrn_serve::{ServeConfig, Server, ServerHandle, ShardedState};
+use qrn_serve::{LedgerSnapshot, ServeConfig, Server, ServerHandle, ShardedState};
+use qrn_stats::evidence::EvidenceLedger;
+use qrn_stats::rng::{poisson, seeded};
 use qrn_units::{Hours, Speed};
 
 fn quick() -> bool {
@@ -211,21 +216,51 @@ impl ReadFixture {
     }
 }
 
-/// Median wall time of `repeats` runs of `f`.
-fn median_time<O>(repeats: usize, mut f: impl FnMut() -> O) -> Duration {
-    let mut times: Vec<Duration> = (0..repeats)
-        .map(|_| {
-            let start = Instant::now();
-            black_box(f());
-            start.elapsed()
-        })
-        .collect();
-    times.sort();
-    times[times.len() / 2]
+/// Wall-time quartiles of `repeats` runs of `f`, in seconds.
+struct Quartiles {
+    p25: f64,
+    median: f64,
+    p75: f64,
+}
+
+impl Quartiles {
+    fn of<O>(repeats: usize, mut f: impl FnMut() -> O) -> Self {
+        let mut times: Vec<f64> = (0..repeats)
+            .map(|_| {
+                let start = Instant::now();
+                black_box(f());
+                start.elapsed().as_secs_f64()
+            })
+            .collect();
+        times.sort_by(f64::total_cmp);
+        let at = |q: f64| times[((times.len() - 1) as f64 * q).round() as usize];
+        Quartiles {
+            p25: at(0.25),
+            median: at(0.5),
+            p75: at(0.75),
+        }
+    }
+
+    /// `{prefix}_median`, `_p25` and `_p75` in `scale` units per second.
+    fn insert(&self, row: &mut serde_json::Value, prefix: &str, scale: f64) {
+        let serde_json::Value::Object(row) = row else {
+            panic!("rows are objects");
+        };
+        for (suffix, value) in [
+            ("p25", self.p25),
+            ("median", self.median),
+            ("p75", self.p75),
+        ] {
+            row.insert(
+                format!("{prefix}_{suffix}"),
+                serde_json::json!(value * scale),
+            );
+        }
+    }
 }
 
 /// The read-cost rows of `results/BENCH_serve.json`: per fleet size, the
-/// median snapshot + report time and the median roster-fold time.
+/// snapshot + report time and the roster-fold time.
 fn read_cost_rows() -> Vec<serde_json::Value> {
     let reads = ReadFixture::new();
     let repeats = if quick() { 5 } else { 21 };
@@ -233,19 +268,125 @@ fn read_cost_rows() -> Vec<serde_json::Value> {
         .iter()
         .map(|&vehicles| {
             let state = roster_state(vehicles);
-            let report = median_time(repeats, || reads.snapshot_report(&state));
-            let fold = median_time(repeats, || state.fold());
+            let report = Quartiles::of(repeats, || reads.snapshot_report(&state));
+            let fold = Quartiles::of(repeats, || state.fold());
             println!(
                 "serve/read vehicles={vehicles}: snapshot+report {:.1} us, fold {:.2} ms",
-                report.as_secs_f64() * 1e6,
-                fold.as_secs_f64() * 1e3
+                report.median * 1e6,
+                fold.median * 1e3
             );
-            serde_json::json!({
+            let mut row = serde_json::json!({
                 "vehicles": vehicles,
                 "repeats": repeats,
-                "snapshot_report_us_median": report.as_secs_f64() * 1e6,
-                "fold_ms_median": fold.as_secs_f64() * 1e3,
-            })
+            });
+            report.insert(&mut row, "snapshot_report_us", 1e6);
+            fold.insert(&mut row, "fold_ms", 1e3);
+            row
+        })
+        .collect()
+}
+
+/// The 27 ODD bands of the read-shape ledger: lighting × weather × zone,
+/// the band keys a banded fleet upload reports in.
+fn shape_bands() -> Vec<String> {
+    let mut bands = Vec::new();
+    for lighting in ["day", "dusk", "night"] {
+        for weather in ["clear", "fog", "rain"] {
+            for zone in ["highway", "rural", "urban"] {
+                bands.push(format!("lighting={lighting},weather={weather},zone={zone}"));
+            }
+        }
+    }
+    bands
+}
+
+/// A 27-band ledger shaped like a banded fleet after a few thousand
+/// uploads: 25k hours of exposure spread over the bands in dyadic
+/// chunks, and per band and goal a small Poisson incident count whose
+/// mean runs from about 0.3 to 40 across the goals — so the report's
+/// context × goal cells repeat a few dozen distinct counts, as a
+/// live fleet's do.
+fn shape_snapshot(allocation: &Allocation) -> LedgerSnapshot {
+    let mut evidence = EvidenceLedger::new();
+    let mut rng = seeded(27);
+    let kinds: Vec<&str> = allocation.budgets().map(|(id, _)| id.as_str()).collect();
+    for (b, band) in shape_bands().iter().enumerate() {
+        let hours = 0.25 * (3000 + 97 * b) as f64;
+        evidence.add_exposure(None, hours);
+        evidence.add_exposure(Some(band), hours);
+        for (k, kind) in kinds.iter().enumerate() {
+            let mean = 0.3 * 1.25f64.powi(k as i32);
+            for _ in 0..poisson(&mut rng, mean) {
+                evidence.add_incident(None, kind, 1.0);
+                evidence.add_incident(Some(band), kind, 1.0);
+            }
+        }
+    }
+    LedgerSnapshot {
+        evidence,
+        vehicles: 100_000,
+        lines: 0,
+        events: 0,
+        skipped: Default::default(),
+    }
+}
+
+/// The read-shape rows of `results/BENCH_serve.json`: the report cost of
+/// each burn-down read shape in sequential mode — the global report
+/// (`plain`), a one-dimension `?where=` (9 rows), a `?context=` (1 row)
+/// and the full by-context report (27 rows).
+fn read_shape_rows() -> Vec<serde_json::Value> {
+    let reads = ReadFixture::new();
+    let snapshot = shape_snapshot(&reads.allocation);
+    let distinct_counts: std::collections::BTreeSet<u64> = snapshot
+        .evidence
+        .named_contexts()
+        .flat_map(|(_, row)| {
+            reads
+                .allocation
+                .budgets()
+                .map(move |(id, _)| row.count(id.as_str()).observations())
+        })
+        .collect();
+    let repeats = if quick() { 7 } else { 41 };
+    let where_fog = ContextFilter::parse(["weather=fog"]).expect("valid clause");
+    let context = ContextFilter::all().only(&shape_bands()[13]);
+    let shapes: [(&str, bool, &ContextFilter); 4] = [
+        ("plain", false, &ContextFilter::all()),
+        ("where", true, &where_fog),
+        ("context", true, &context),
+        ("by_context", true, &ContextFilter::all()),
+    ];
+    shapes
+        .iter()
+        .map(|&(shape, by_zone, filter)| {
+            let config = BurnDownConfig {
+                by_zone,
+                sequential: true,
+                ..BurnDownConfig::default()
+            };
+            let rows = snapshot
+                .report(&reads.norm, &reads.allocation, &config, filter)
+                .expect("report computes")
+                .zones
+                .len();
+            let cost = Quartiles::of(repeats, || {
+                snapshot
+                    .report(&reads.norm, &reads.allocation, &config, filter)
+                    .expect("report computes")
+            });
+            println!(
+                "serve/read_shape {shape} ({rows} context rows): report {:.1} us",
+                cost.median * 1e6
+            );
+            let mut row = serde_json::json!({
+                "shape": shape,
+                "context_rows": rows,
+                "distinct_counts": distinct_counts.len(),
+                "repeats": repeats,
+            });
+            cost.insert(&mut row, "report_us", 1e6);
+            row
         })
         .collect()
 }
@@ -314,22 +455,31 @@ fn emit_serve_baseline() {
         .map(usize::from)
         .unwrap_or(1);
     let (clients, posts_per_client) = if quick() { (4, 6) } else { (4, 24) };
+    let saturation_repeats = if quick() { 1 } else { 5 };
     let read_cost = read_cost_rows();
+    let read_shapes = read_shape_rows();
 
     let mut rows = Vec::new();
     let mut baseline = 0.0f64;
     let mut best_sharded = 0.0f64;
     for state_shards in [1usize, 2, 4, 8] {
-        let rate = timed_saturation(state_shards, clients, posts_per_client);
+        let mut rates: Vec<f64> = (0..saturation_repeats)
+            .map(|_| timed_saturation(state_shards, clients, posts_per_client))
+            .collect();
+        rates.sort_by(f64::total_cmp);
+        let rate = rates[rates.len() / 2];
         if state_shards == 1 {
             baseline = rate;
         } else {
             best_sharded = best_sharded.max(rate);
         }
-        println!("serve/saturation state_shards={state_shards}: {rate:.0} events/s");
+        println!("serve/saturation state_shards={state_shards}: {rate:.0} events/s (median)");
         rows.push(serde_json::json!({
             "state_shards": state_shards,
+            "repeats": saturation_repeats,
             "events_per_second": rate,
+            "events_per_second_min": rates[0],
+            "events_per_second_max": rates[rates.len() - 1],
         }));
     }
 
@@ -341,12 +491,18 @@ fn emit_serve_baseline() {
             "posts_per_client": posts_per_client,
             "quick": quick(),
             "read_cost": read_cost,
+            "read_shapes": read_shapes,
             "saturation": rows,
             "note": "read_cost: a burn-down/scrape read (ledger snapshot + report) stays \
                      flat in the fleet size while the checkpoint fold grows with it; \
-                     saturation: events/second under concurrent ingest POSTs vs live-state \
-                     shard count; on a 1-CPU container all shards share one core, so the \
-                     curve shows lock-contention removal, not multi-core scaling",
+                     read_shapes: sequential report cost per read shape on a 27-band \
+                     ledger — one global row, plus the context rows served, plus one \
+                     Garwood quantile per distinct count, so ?context= (1 row) costs \
+                     least after plain and the full by-context report most; \
+                     saturation: median (and min/max) events/second under concurrent \
+                     ingest POSTs vs live-state shard count; on a 1-CPU container all \
+                     shards share one core, so the curve shows lock-contention removal, \
+                     not multi-core scaling",
         }),
     );
 

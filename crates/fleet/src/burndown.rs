@@ -27,6 +27,24 @@
 //! class upper bounds sum per-type upper bounds, so a class-level `Ok` is
 //! trustworthy while a class-level `Burned` (lower bounds above budget) is
 //! a strong flag to read the per-goal rows.
+//!
+//! # Cost of a report
+//!
+//! A report costs one global row, plus the context rows it serves, plus
+//! one Garwood quantile per distinct input:
+//!
+//! * each Garwood bound is a chi-square quantile, a bisection of about 60
+//!   incomplete-gamma steps. The counts behind a report are small
+//!   repeated integers, so [`burn_down_evidence_filtered`] takes every
+//!   quantile through one [`QuantileMemo`] shared by all its rows. The
+//!   memo returns the bits a fresh call would, and lives for one call;
+//! * the per-goal instruments (SPRT, confidence sequence, budget
+//!   e-process) depend only on the budget and the config, so they are
+//!   built once per report;
+//! * sequential mode skips the Garwood lower bound, which it neither
+//!   serialises nor uses;
+//! * a [`ContextFilter`] restricted with [`ContextFilter::only`] makes
+//!   the report compute that one context row, not all of them.
 
 use std::fmt;
 
@@ -40,6 +58,7 @@ use qrn_stats::confseq::{BudgetEValue, GammaMixture, PoissonConfSeq};
 use qrn_stats::evidence::EvidenceLedger;
 use qrn_stats::poisson::{PoissonRate, WeightedCount, WeightedPoissonRate};
 use qrn_stats::sequential::{PoissonSprt, SprtDecision};
+use qrn_stats::special::QuantileMemo;
 use qrn_units::{Frequency, Hours};
 
 use crate::error::FleetError;
@@ -161,13 +180,16 @@ impl Deserialize for BurnDownConfig {
 }
 
 /// Dimension filter over named evidence contexts: the parsed form of one
-/// or more `--where dim=value` clauses. A context key matches when every
-/// clause's `dim=value` pair appears among the key's pairs; the empty
-/// filter matches everything. Legacy bare-name contexts (no `=`) only
-/// match the empty filter.
+/// or more `--where dim=value` clauses, optionally restricted to one
+/// exact context name. A context key matches when every clause's
+/// `dim=value` pair appears among the key's pairs and, under a
+/// restriction ([`ContextFilter::only`]), it equals the named context;
+/// the empty filter matches everything. Legacy bare-name contexts (no
+/// `=`) match no clause, so they match only filters without clauses.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ContextFilter {
     clauses: Vec<(String, String)>,
+    only: Option<String>,
 }
 
 impl ContextFilter {
@@ -202,21 +224,38 @@ impl ContextFilter {
             }
             parsed.push((dim.to_string(), value.to_string()));
         }
-        Ok(ContextFilter { clauses: parsed })
-    }
-
-    /// True when the filter has no clauses (matches everything).
-    pub fn is_empty(&self) -> bool {
-        self.clauses.is_empty()
-    }
-
-    /// True when the named context satisfies every clause.
-    pub fn wants(&self, context: &str) -> bool {
-        self.clauses.iter().all(|(dim, value)| {
-            context
-                .split(',')
-                .any(|pair| pair.split_once('=') == Some((dim.as_str(), value.as_str())))
+        Ok(ContextFilter {
+            clauses: parsed,
+            only: None,
         })
+    }
+
+    /// This filter restricted to the one context named `context`, matched
+    /// by string equality — so a legacy bare zone name selects its row as
+    /// well as a canonical band key does. A report under such a filter
+    /// computes at most that one refinement row (the `?context=` read).
+    pub fn only(self, context: &str) -> Self {
+        ContextFilter {
+            only: Some(context.to_string()),
+            ..self
+        }
+    }
+
+    /// True when the filter has neither clauses nor a context restriction
+    /// (matches everything).
+    pub fn is_empty(&self) -> bool {
+        self.clauses.is_empty() && self.only.is_none()
+    }
+
+    /// True when the named context is the restricted one (if any) and
+    /// satisfies every clause.
+    pub fn wants(&self, context: &str) -> bool {
+        self.only.as_deref().is_none_or(|only| only == context)
+            && self.clauses.iter().all(|(dim, value)| {
+                context
+                    .split(',')
+                    .any(|pair| pair.split_once('=') == Some((dim.as_str(), value.as_str())))
+            })
     }
 }
 
@@ -506,24 +545,73 @@ impl fmt::Display for FleetReport {
     }
 }
 
+/// The statistical instruments of one safety goal. They depend only on
+/// the goal's budget and the config, never on the evidence, so a report
+/// builds them once and reuses them for the global row and every context
+/// row.
+struct GoalInstruments<'a> {
+    incident: &'a IncidentTypeId,
+    budget: Frequency,
+    sprt: PoissonSprt,
+    /// Confidence sequence and budget e-process (sequential mode only).
+    anytime: Option<(PoissonConfSeq, BudgetEValue)>,
+}
+
+impl<'a> GoalInstruments<'a> {
+    /// The instruments of every budget in the allocation, in its order.
+    fn for_allocation(
+        allocation: &'a Allocation,
+        config: &BurnDownConfig,
+    ) -> Result<Vec<Self>, FleetError> {
+        let mut goals = Vec::new();
+        for (incident, budget) in allocation.budgets() {
+            if budget.as_per_hour() <= 0.0 {
+                return Err(FleetError::InvalidConfig(format!(
+                    "incident {incident} has a zero budget; burn-down needs positive budgets"
+                )));
+            }
+            let sprt = PoissonSprt::new(
+                budget.scaled(config.sprt_fraction)?,
+                budget,
+                config.alpha,
+                config.beta,
+            )?;
+            let anytime = if config.sequential {
+                let mixture = GammaMixture::default_at(budget)?;
+                Some((
+                    PoissonConfSeq::new(1.0 - config.confidence, mixture)?,
+                    BudgetEValue::new(budget, mixture)?,
+                ))
+            } else {
+                None
+            };
+            goals.push(GoalInstruments {
+                incident,
+                budget,
+                sprt,
+                anytime,
+            });
+        }
+        Ok(goals)
+    }
+}
+
 /// Per-goal rows over one evidence slice (the global row or one zone's
 /// refinement row). Returns the rows and the per-goal lower bounds the
-/// class propagation needs.
+/// class propagation needs. Garwood quantiles go through `memo`, which
+/// the caller shares across all slices of one report.
 fn goal_rows(
-    allocation: &Allocation,
+    instruments: &[GoalInstruments<'_>],
     exposure: Hours,
     count_of: &dyn Fn(&str) -> WeightedCount,
     config: &BurnDownConfig,
+    memo: &mut QuantileMemo,
 ) -> Result<(Vec<GoalBurnDown>, Vec<Frequency>), FleetError> {
-    let mut goals = Vec::new();
-    let mut lower_bounds = Vec::new();
-    for (incident, budget) in allocation.budgets() {
-        if budget.as_per_hour() <= 0.0 {
-            return Err(FleetError::InvalidConfig(format!(
-                "incident {incident} has a zero budget; burn-down needs positive budgets"
-            )));
-        }
-        let count = count_of(incident.as_str());
+    let mut goals = Vec::with_capacity(instruments.len());
+    let mut lower_bounds = Vec::with_capacity(instruments.len());
+    for goal in instruments {
+        let budget = goal.budget;
+        let count = count_of(goal.incident.as_str());
         let observed = PoissonRate::new(count.observations(), exposure);
         // Unit-weight evidence takes the exact integer path — identical
         // numbers to pre-ledger burn-down. Weighted evidence is monitored
@@ -536,65 +624,60 @@ fn goal_rows(
         // With zero exposure there is no evidence in either direction: the
         // exact bounds are undefined (reported as zero) and only the SPRT's
         // `Continue` carries meaning.
-        let (point, upper_bound, lower_bound) = if exposure.value() > 0.0 {
-            match &weighted {
-                Some(w) => (
-                    w.point_estimate()?,
-                    w.upper_bound(config.confidence)?,
-                    w.lower_bound(config.confidence)?,
-                ),
-                None => (
-                    observed.point_estimate()?,
-                    observed.upper_bound(config.confidence)?,
-                    observed.lower_bound(config.confidence)?,
-                ),
-            }
-        } else {
-            (Frequency::ZERO, Frequency::ZERO, Frequency::ZERO)
+        let has_exposure = exposure.value() > 0.0;
+        let (point, upper_bound) = match (&weighted, has_exposure) {
+            (_, false) => (Frequency::ZERO, Frequency::ZERO),
+            (Some(w), true) => (
+                w.point_estimate()?,
+                w.upper_bound_with(config.confidence, memo)?,
+            ),
+            (None, true) => (
+                observed.point_estimate()?,
+                observed.upper_bound_with(config.confidence, memo)?,
+            ),
         };
-        let sprt_test = PoissonSprt::new(
-            budget.scaled(config.sprt_fraction)?,
-            budget,
-            config.alpha,
-            config.beta,
-        )?;
+        // The Garwood lower bound feeds only the legacy verdict: it is not
+        // serialised, so sequential mode never computes it.
+        let lower_bound = match (&weighted, has_exposure && !config.sequential) {
+            (_, false) => Frequency::ZERO,
+            (Some(w), true) => w.lower_bound_with(config.confidence, memo)?,
+            (None, true) => observed.lower_bound_with(config.confidence, memo)?,
+        };
         let sprt = match &weighted {
             Some(w) => {
                 let (k_eff, t_eff) = w.effective();
-                sprt_test.decide_effective(k_eff, t_eff)
+                goal.sprt.decide_effective(k_eff, t_eff)
             }
-            None => sprt_test.decide(observed.count, exposure),
+            None => goal.sprt.decide(observed.count, exposure),
         };
         let consumed = point.ratio(budget).unwrap_or(0.0);
         // Sequential mode: the same effective evidence drives the
         // anytime-valid instruments — a confidence sequence at the
         // configured confidence and the budget e-process at SPRT α — and
         // the verdict moves onto them.
-        let (seq_lower, seq_upper, e_value, seq_burned) = if config.sequential {
-            let mixture = GammaMixture::default_at(budget)?;
-            let confseq = PoissonConfSeq::new(1.0 - config.confidence, mixture)?;
-            let e_process = BudgetEValue::new(budget, mixture)?;
-            let (k_eff, t_eff) = match &weighted {
-                Some(w) => w.effective(),
-                None => (observed.count as f64, exposure),
-            };
-            let log_e = e_process.log_e_value_effective(k_eff, t_eff)?;
-            let (seq_lo, seq_hi) = if t_eff.value() > 0.0 {
-                let interval = confseq.interval_effective(k_eff, t_eff)?;
-                (interval.lower, interval.upper)
-            } else {
-                // No exposure: the sequence is vacuous, reported as zeros
-                // like the exact bounds.
-                (Frequency::ZERO, Frequency::ZERO)
-            };
-            (
-                Some(seq_lo),
-                Some(seq_hi),
-                Some(log_e.exp().min(f64::MAX)),
-                log_e >= -config.alpha.ln(),
-            )
-        } else {
-            (None, None, None, false)
+        let (seq_lower, seq_upper, e_value, seq_burned) = match &goal.anytime {
+            Some((confseq, e_process)) => {
+                let (k_eff, t_eff) = match &weighted {
+                    Some(w) => w.effective(),
+                    None => (observed.count as f64, exposure),
+                };
+                let log_e = e_process.log_e_value_effective(k_eff, t_eff)?;
+                let (seq_lo, seq_hi) = if t_eff.value() > 0.0 {
+                    let interval = confseq.interval_effective(k_eff, t_eff)?;
+                    (interval.lower, interval.upper)
+                } else {
+                    // No exposure: the sequence is vacuous, reported as
+                    // zeros like the exact bounds.
+                    (Frequency::ZERO, Frequency::ZERO)
+                };
+                (
+                    Some(seq_lo),
+                    Some(seq_hi),
+                    Some(log_e.exp().min(f64::MAX)),
+                    log_e >= -config.alpha.ln(),
+                )
+            }
+            None => (None, None, None, false),
         };
         let alert = if config.sequential {
             if seq_burned || seq_lower.is_some_and(|lo| lo > budget) {
@@ -618,7 +701,7 @@ fn goal_rows(
             None => lower_bound,
         });
         goals.push(GoalBurnDown {
-            incident: incident.clone(),
+            incident: goal.incident.clone(),
             budget,
             observed,
             weighted,
@@ -685,8 +768,18 @@ pub fn burn_down_evidence_filtered(
             }));
         }
     }
+    let instruments = GoalInstruments::for_allocation(allocation, config)?;
+    // One memo for the whole report: the global row and every context
+    // row share their repeated small counts' quantiles.
+    let mut memo = QuantileMemo::new();
     let exposure = Hours::new(evidence.exposure())?;
-    let (goals, lower_bounds) = goal_rows(allocation, exposure, &|k| evidence.count(k), config)?;
+    let (goals, lower_bounds) = goal_rows(
+        &instruments,
+        exposure,
+        &|k| evidence.count(k),
+        config,
+        &mut memo,
+    )?;
     let classes = norm
         .classes()
         .map(|c| {
@@ -725,7 +818,13 @@ pub fn burn_down_evidence_filtered(
                 continue;
             }
             let zone_exposure = Hours::new(row.exposure_hours())?;
-            let (zone_goals, _) = goal_rows(allocation, zone_exposure, &|k| row.count(k), config)?;
+            let (zone_goals, _) = goal_rows(
+                &instruments,
+                zone_exposure,
+                &|k| row.count(k),
+                config,
+                &mut memo,
+            )?;
             zones.push(ZoneBurnDown {
                 zone: name.to_string(),
                 exposure_hours: row.exposure_hours(),
@@ -1104,6 +1203,63 @@ mod tests {
         assert!(ContextFilter::parse(["weather"]).is_err());
         assert!(ContextFilter::parse(["=fog"]).is_err());
         assert!(ContextFilter::parse(["weather="]).is_err());
+    }
+
+    #[test]
+    fn restricted_filter_matches_one_exact_name() {
+        let key = "lighting=day,weather=fog,zone=urban";
+        let only = ContextFilter::all().only(key);
+        assert!(!only.is_empty());
+        assert!(only.wants(key));
+        assert!(!only.wants("lighting=day,weather=clear,zone=urban"));
+        // equality, not a clause match: a key's prefix is another key
+        assert!(!only.wants("lighting=day,weather=fog"));
+        // bare legacy names select by equality too
+        assert!(ContextFilter::all().only("urban").wants("urban"));
+        assert!(!ContextFilter::all().only("urban").wants("urbanish"));
+        // the restriction and the clauses must both hold
+        let fog = ContextFilter::parse(["weather=fog"]).unwrap();
+        assert!(fog.clone().only(key).wants(key));
+        let clear = ContextFilter::parse(["weather=clear"]).unwrap();
+        assert!(!clear.only(key).wants(key));
+    }
+
+    #[test]
+    fn restricted_report_computes_exactly_the_selected_row() {
+        let norm = paper_norm().unwrap();
+        let classification = paper_classification().unwrap();
+        let allocation = paper_allocation(&classification).unwrap();
+        let ledger = banded_ledger();
+        for sequential in [false, true] {
+            let config = BurnDownConfig {
+                by_zone: true,
+                sequential,
+                ..BurnDownConfig::default()
+            };
+            let all = burn_down_evidence(&norm, &allocation, &ledger, &config).unwrap();
+            for row in &all.zones {
+                let one = burn_down_evidence_filtered(
+                    &norm,
+                    &allocation,
+                    &ledger,
+                    &config,
+                    &ContextFilter::all().only(&row.zone),
+                )
+                .unwrap();
+                assert_eq!(one.zones, vec![row.clone()]);
+                assert_eq!(one.goals, all.goals);
+                assert_eq!(one.classes, all.classes);
+            }
+            let none = burn_down_evidence_filtered(
+                &norm,
+                &allocation,
+                &ledger,
+                &config,
+                &ContextFilter::all().only("zone=atlantis"),
+            )
+            .unwrap();
+            assert!(none.zones.is_empty());
+        }
     }
 
     #[test]

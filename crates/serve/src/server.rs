@@ -578,15 +578,27 @@ impl Inner {
     }
 
     /// Computes one item's burn-down report from its evidence view. The
-    /// filter restricts which named contexts get refinement rows; pass
-    /// [`ContextFilter::all`] for the unfiltered report.
+    /// filter restricts which named contexts get refinement rows, and a
+    /// selector narrows them to the one context it names, so a
+    /// `?context=` read computes one refinement row, not all of them. A
+    /// filter or a selector turns the refinement rows on; pass
+    /// [`ContextFilter::all`] and no selector for the configured report.
     fn compute_report(
         item: &Item,
         view: &LedgerSnapshot,
         config: &BurnDownConfig,
         filter: &ContextFilter,
+        selector: Option<&str>,
     ) -> Result<FleetReport, qrn_fleet::FleetError> {
-        view.report(&item.config.norm, &item.config.allocation, config, filter)
+        let mut config = *config;
+        if selector.is_some() || !filter.is_empty() {
+            config.by_zone = true;
+        }
+        let filter = match selector {
+            Some(name) => filter.clone().only(name),
+            None => filter.clone(),
+        };
+        view.report(&item.config.norm, &item.config.allocation, &config, &filter)
     }
 
     /// Parses the query string shared by both burn-down routes. Unknown
@@ -699,12 +711,14 @@ impl Inner {
                     )
                 }
             };
-        let mut config = self.config.burndown;
-        if query.selector.is_some() || !query.filter.is_empty() {
-            config.by_zone = true;
-        }
         let view = Self::evidence_view(item, LedgerSnapshot::from(summary.state));
-        let report = match Self::compute_report(item, &view, &config, &query.filter) {
+        let report = match Self::compute_report(
+            item,
+            &view,
+            &self.config.burndown,
+            &query.filter,
+            query.selector.as_deref(),
+        ) {
             Ok(report) => report,
             Err(e) => {
                 return Response::text(
@@ -762,11 +776,13 @@ impl Inner {
             looks.clone()
         };
         let view = Self::evidence_view(item, item.state.snapshot());
-        let mut config = self.config.burndown;
-        if query.selector.is_some() || !query.filter.is_empty() {
-            config.by_zone = true;
-        }
-        let mut report = match Self::compute_report(item, &view, &config, &query.filter) {
+        let mut report = match Self::compute_report(
+            item,
+            &view,
+            &self.config.burndown,
+            &query.filter,
+            query.selector.as_deref(),
+        ) {
             Ok(report) => report,
             Err(e) => {
                 return Response::text(
@@ -822,6 +838,7 @@ impl Inner {
                 &view.evidence,
                 &self.config.burndown,
                 &ContextFilter::all(),
+                None,
             ) {
                 Ok(report) => reports.push(report),
                 Err(e) => {
@@ -1908,6 +1925,67 @@ mod tests {
         assert_eq!(status, 400, "{body}");
         assert!(body.contains("where"), "{body}");
         handle.stop().unwrap();
+    }
+
+    /// A pair of `context` that `other` lacks, as a `?where=` clause.
+    fn clause_failing(context: &str, other: &str) -> String {
+        other
+            .split(',')
+            .find(|pair| !context.split(',').any(|p| p == *pair))
+            .expect("distinct contexts differ in some pair")
+            .replace('=', "%3D")
+    }
+
+    #[test]
+    fn context_reads_serve_by_context_rows_byte_for_byte() {
+        let log = qrn_fleet::telemetry::TelemetryConfig::new(8)
+            .hours(qrn_units::Hours::new(512.0).unwrap())
+            .scenario(qrn_fleet::telemetry::Scenario::Banded)
+            .seed(31)
+            .generate_jsonl()
+            .unwrap();
+        for sequential in [false, true] {
+            let mut config = test_config();
+            config.burndown.by_zone = true;
+            config.burndown.sequential = sequential;
+            let handle = Server::start(config).unwrap();
+            let addr = handle.addr();
+            let (status, body) = post(addr, "/v1/ingest", &log);
+            assert_eq!(status, 200, "{body}");
+
+            // The first read is the whole by-context report, at look 1.
+            let (status, body) = get(addr, "/v1/burndown");
+            assert_eq!(status, 200, "{body}");
+            let full: FleetReport = serde_json::from_str(&body).unwrap();
+            assert!(full.zones.len() > 2, "{body}");
+            // Every later read spends one more look; apart from that
+            // counter, `?context=K` answers exactly K's row of the full
+            // report.
+            let mut look = 1;
+            for row in &full.zones {
+                look += 1;
+                let (status, body) = get(addr, &format!("/v1/burndown?context={}", row.zone));
+                assert_eq!(status, 200, "{body}");
+                let mut expected = row.clone();
+                for goal in &mut expected.goals {
+                    goal.looks = look;
+                }
+                assert_eq!(body, serde_json::to_string_pretty(&expected).unwrap());
+            }
+
+            // The selector and the where filter must both hold: a clause K
+            // fails is still a 404, although it matches other rows.
+            let key = &full.zones[0].zone;
+            let clause = clause_failing(key, &full.zones[1].zone);
+            let (status, body) = get(addr, &format!("/v1/burndown?where={clause}"));
+            assert_eq!(status, 200, "{body}");
+            let (status, body) = get(addr, &format!("/v1/burndown?context={key}&where={clause}"));
+            assert_eq!(status, 404, "{body}");
+            let own = key.split(',').next().unwrap().replace('=', "%3D");
+            let (status, body) = get(addr, &format!("/v1/burndown?context={key}&where={own}"));
+            assert_eq!(status, 200, "{body}");
+            handle.stop().unwrap();
+        }
     }
 
     #[test]

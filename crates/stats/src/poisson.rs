@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 use qrn_units::{Frequency, Hours};
 
 use crate::error::{check_confidence, StatsError};
-use crate::special::chi_square_quantile;
+use crate::special::{chi_square_quantile, QuantileMemo};
 
 /// An observed event count over an exposure, modelling a Poisson process.
 ///
@@ -69,6 +69,23 @@ impl RateInterval {
     }
 }
 
+/// Garwood's upper endpoint `χ²(p; 2k + 2) / (2t)` for `k` (possibly
+/// effective, fractional) events over `t` hours, at upper-tail
+/// probability `p`. Every upper bound in this module comes from here.
+fn garwood_upper(k: f64, t: f64, p: f64, memo: &mut QuantileMemo) -> Result<Frequency, StatsError> {
+    Frequency::per_hour(memo.chi_square_quantile(2.0 * k + 2.0, p)? / (2.0 * t))
+        .map_err(StatsError::from)
+}
+
+/// Garwood's lower endpoint `χ²(p; 2k) / (2t)` at lower-tail probability
+/// `p`; exactly zero when no events were observed.
+fn garwood_lower(k: f64, t: f64, p: f64, memo: &mut QuantileMemo) -> Result<Frequency, StatsError> {
+    if k == 0.0 {
+        return Ok(Frequency::ZERO);
+    }
+    Frequency::per_hour(memo.chi_square_quantile(2.0 * k, p)? / (2.0 * t)).map_err(StatsError::from)
+}
+
 impl PoissonRate {
     /// Creates an observation of `count` events over `exposure`.
     pub fn new(count: u64, exposure: Hours) -> Self {
@@ -114,17 +131,10 @@ impl PoissonRate {
         let alpha = 1.0 - confidence;
         let t = self.exposure.value();
         let k = self.count as f64;
-        let lower = if self.count == 0 {
-            Frequency::ZERO
-        } else {
-            Frequency::per_hour(chi_square_quantile(2.0 * k, alpha / 2.0)? / (2.0 * t))?
-        };
-        let upper = Frequency::per_hour(
-            chi_square_quantile(2.0 * k + 2.0, 1.0 - alpha / 2.0)? / (2.0 * t),
-        )?;
+        let memo = &mut QuantileMemo::new();
         Ok(RateInterval {
-            lower,
-            upper,
+            lower: garwood_lower(k, t, alpha / 2.0, memo)?,
+            upper: garwood_upper(k, t, 1.0 - alpha / 2.0, memo)?,
             confidence,
         })
     }
@@ -138,12 +148,24 @@ impl PoissonRate {
     ///
     /// Returns [`StatsError`] for zero exposure or invalid confidence.
     pub fn upper_bound(&self, confidence: f64) -> Result<Frequency, StatsError> {
+        self.upper_bound_with(confidence, &mut QuantileMemo::new())
+    }
+
+    /// [`PoissonRate::upper_bound`] taking its quantile through `memo`:
+    /// bit-identical, and free when the memo already holds the quantile
+    /// for this count and confidence.
+    ///
+    /// # Errors
+    ///
+    /// As [`PoissonRate::upper_bound`].
+    pub fn upper_bound_with(
+        &self,
+        confidence: f64,
+        memo: &mut QuantileMemo,
+    ) -> Result<Frequency, StatsError> {
         let confidence = check_confidence(confidence)?;
         self.require_exposure()?;
-        let k = self.count as f64;
-        let t = self.exposure.value();
-        Frequency::per_hour(chi_square_quantile(2.0 * k + 2.0, confidence)? / (2.0 * t))
-            .map_err(StatsError::from)
+        garwood_upper(self.count as f64, self.exposure.value(), confidence, memo)
     }
 
     /// One-sided lower confidence bound at level `confidence`.
@@ -155,15 +177,27 @@ impl PoissonRate {
     ///
     /// Returns [`StatsError`] for zero exposure or invalid confidence.
     pub fn lower_bound(&self, confidence: f64) -> Result<Frequency, StatsError> {
+        self.lower_bound_with(confidence, &mut QuantileMemo::new())
+    }
+
+    /// [`PoissonRate::lower_bound`] taking its quantile through `memo`.
+    ///
+    /// # Errors
+    ///
+    /// As [`PoissonRate::lower_bound`].
+    pub fn lower_bound_with(
+        &self,
+        confidence: f64,
+        memo: &mut QuantileMemo,
+    ) -> Result<Frequency, StatsError> {
         let confidence = check_confidence(confidence)?;
         self.require_exposure()?;
-        if self.count == 0 {
-            return Ok(Frequency::ZERO);
-        }
-        let k = self.count as f64;
-        let t = self.exposure.value();
-        Frequency::per_hour(chi_square_quantile(2.0 * k, 1.0 - confidence)? / (2.0 * t))
-            .map_err(StatsError::from)
+        garwood_lower(
+            self.count as f64,
+            self.exposure.value(),
+            1.0 - confidence,
+            memo,
+        )
     }
 
     /// Returns `true` when the observation demonstrates that the true rate
@@ -395,17 +429,10 @@ impl WeightedPoissonRate {
         let alpha = 1.0 - confidence;
         let (k, t_eff) = self.effective();
         let t = t_eff.value();
-        let lower = if k == 0.0 {
-            Frequency::ZERO
-        } else {
-            Frequency::per_hour(chi_square_quantile(2.0 * k, alpha / 2.0)? / (2.0 * t))?
-        };
-        let upper = Frequency::per_hour(
-            chi_square_quantile(2.0 * k + 2.0, 1.0 - alpha / 2.0)? / (2.0 * t),
-        )?;
+        let memo = &mut QuantileMemo::new();
         Ok(RateInterval {
-            lower,
-            upper,
+            lower: garwood_lower(k, t, alpha / 2.0, memo)?,
+            upper: garwood_upper(k, t, 1.0 - alpha / 2.0, memo)?,
             confidence,
         })
     }
@@ -417,11 +444,25 @@ impl WeightedPoissonRate {
     ///
     /// Returns [`StatsError`] for zero exposure or invalid confidence.
     pub fn upper_bound(&self, confidence: f64) -> Result<Frequency, StatsError> {
+        self.upper_bound_with(confidence, &mut QuantileMemo::new())
+    }
+
+    /// [`WeightedPoissonRate::upper_bound`] taking its quantile through
+    /// `memo`: bit-identical, and free when the memo already holds the
+    /// quantile for this effective count and confidence.
+    ///
+    /// # Errors
+    ///
+    /// As [`WeightedPoissonRate::upper_bound`].
+    pub fn upper_bound_with(
+        &self,
+        confidence: f64,
+        memo: &mut QuantileMemo,
+    ) -> Result<Frequency, StatsError> {
         let confidence = check_confidence(confidence)?;
         self.require_exposure()?;
         let (k, t_eff) = self.effective();
-        Frequency::per_hour(chi_square_quantile(2.0 * k + 2.0, confidence)? / (2.0 * t_eff.value()))
-            .map_err(StatsError::from)
+        garwood_upper(k, t_eff.value(), confidence, memo)
     }
 
     /// One-sided lower confidence bound on the effective observation.
@@ -434,14 +475,24 @@ impl WeightedPoissonRate {
     ///
     /// Returns [`StatsError`] for zero exposure or invalid confidence.
     pub fn lower_bound(&self, confidence: f64) -> Result<Frequency, StatsError> {
+        self.lower_bound_with(confidence, &mut QuantileMemo::new())
+    }
+
+    /// [`WeightedPoissonRate::lower_bound`] taking its quantile through
+    /// `memo`.
+    ///
+    /// # Errors
+    ///
+    /// As [`WeightedPoissonRate::lower_bound`].
+    pub fn lower_bound_with(
+        &self,
+        confidence: f64,
+        memo: &mut QuantileMemo,
+    ) -> Result<Frequency, StatsError> {
         let confidence = check_confidence(confidence)?;
         self.require_exposure()?;
         let (k, t_eff) = self.effective();
-        if k == 0.0 {
-            return Ok(Frequency::ZERO);
-        }
-        Frequency::per_hour(chi_square_quantile(2.0 * k, 1.0 - confidence)? / (2.0 * t_eff.value()))
-            .map_err(StatsError::from)
+        garwood_lower(k, t_eff.value(), 1.0 - confidence, memo)
     }
 
     /// Returns `true` when the weighted observation demonstrates the true
@@ -611,6 +662,7 @@ pub fn rate_equality_p_value(a: PoissonRate, b: PoissonRate) -> Result<f64, Stat
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hours(h: f64) -> Hours {
         Hours::new(h).unwrap()
@@ -951,6 +1003,101 @@ mod tests {
             )
             .unwrap();
             assert!((0.0..=1.0).contains(&p), "p={p} for ({k1},{k2})");
+        }
+    }
+
+    /// Garwood's upper and lower bounds straight from
+    /// [`chi_square_quantile`], with no memo in between.
+    fn direct_bounds(k: f64, t: f64, confidence: f64) -> (u64, u64) {
+        let upper = chi_square_quantile(2.0 * k + 2.0, confidence).unwrap() / (2.0 * t);
+        let lower = if k == 0.0 {
+            0.0
+        } else {
+            chi_square_quantile(2.0 * k, 1.0 - confidence).unwrap() / (2.0 * t)
+        };
+        (upper.to_bits(), lower.to_bits())
+    }
+
+    fn bits(f: Frequency) -> u64 {
+        f.as_per_hour().to_bits()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn memo_bounds_are_bit_equal_to_direct_quantiles(
+            k in 0u64..1_000_000,
+            t in 1.0f64..1.0e9,
+            confidence in 0.5f64..0.999,
+        ) {
+            let obs = PoissonRate::new(k, hours(t));
+            let (upper, lower) = direct_bounds(k as f64, t, confidence);
+            let mut memo = QuantileMemo::new();
+            // The first call fills the memo, the second is served from it.
+            for _ in 0..2 {
+                prop_assert_eq!(bits(obs.upper_bound_with(confidence, &mut memo).unwrap()), upper);
+                prop_assert_eq!(bits(obs.lower_bound_with(confidence, &mut memo).unwrap()), lower);
+            }
+            prop_assert_eq!(memo.len(), if k == 0 { 1 } else { 2 });
+            prop_assert_eq!(bits(obs.upper_bound(confidence).unwrap()), upper);
+            prop_assert_eq!(bits(obs.lower_bound(confidence).unwrap()), lower);
+        }
+
+        #[test]
+        fn weighted_memo_bounds_are_bit_equal_to_direct_quantiles(
+            weights in proptest::collection::vec(0.01f64..4.0, 1..40),
+            t in 1.0f64..1.0e9,
+            confidence in 0.5f64..0.999,
+        ) {
+            let mut count = WeightedCount::new();
+            for w in &weights {
+                count.push(*w);
+            }
+            let obs = WeightedPoissonRate::new(count, hours(t));
+            let (k_eff, t_eff) = obs.effective();
+            let (upper, lower) = direct_bounds(k_eff, t_eff.value(), confidence);
+            let mut memo = QuantileMemo::new();
+            for _ in 0..2 {
+                prop_assert_eq!(bits(obs.upper_bound_with(confidence, &mut memo).unwrap()), upper);
+                prop_assert_eq!(bits(obs.lower_bound_with(confidence, &mut memo).unwrap()), lower);
+            }
+            prop_assert_eq!(memo.len(), 2);
+            prop_assert_eq!(bits(obs.upper_bound(confidence).unwrap()), upper);
+            prop_assert_eq!(bits(obs.lower_bound(confidence).unwrap()), lower);
+        }
+
+        #[test]
+        fn memo_repeats_bits_and_never_stores_errors(
+            dof in 0.5f64..2.0e6,
+            p in 0.001f64..0.999,
+            bad_p in 1.0f64..10.0,
+            bad_dof in -10.0f64..0.0,
+        ) {
+            let mut memo = QuantileMemo::new();
+            let first = memo.chi_square_quantile(dof, p).unwrap();
+            prop_assert_eq!(first.to_bits(), chi_square_quantile(dof, p).unwrap().to_bits());
+            prop_assert_eq!(memo.chi_square_quantile(dof, p).unwrap().to_bits(), first.to_bits());
+            prop_assert_eq!(memo.len(), 1);
+            // Both halves of the key count: the same dof at another
+            // probability, and another dof at the same probability, are
+            // new entries with their own values.
+            let other_p = 1.0 - p;
+            prop_assert_eq!(
+                memo.chi_square_quantile(dof, other_p).unwrap().to_bits(),
+                chi_square_quantile(dof, other_p).unwrap().to_bits()
+            );
+            prop_assert_eq!(
+                memo.chi_square_quantile(dof + 2.0, p).unwrap().to_bits(),
+                chi_square_quantile(dof + 2.0, p).unwrap().to_bits()
+            );
+            prop_assert_eq!(memo.len(), 3);
+            for _ in 0..2 {
+                prop_assert!(memo.chi_square_quantile(dof, bad_p).is_err());
+                prop_assert!(memo.chi_square_quantile(bad_dof, p).is_err());
+                prop_assert!(memo.chi_square_quantile(f64::NAN, p).is_err());
+            }
+            prop_assert_eq!(memo.len(), 3);
         }
     }
 }

@@ -8,6 +8,8 @@
 //! `1e-12` relative error over the parameter ranges a safety case needs
 //! (counts up to ~1e9, probabilities down to ~1e-15).
 
+use std::collections::HashMap;
+
 use crate::error::StatsError;
 
 /// Natural log of the gamma function `ln Γ(x)` for `x > 0`.
@@ -269,6 +271,66 @@ pub fn chi_square_quantile(dof: f64, p: f64) -> Result<f64, StatsError> {
         });
     }
     Ok(2.0 * gamma_p_inv(dof / 2.0, p)?)
+}
+
+/// A memo of [`chi_square_quantile`] results, keyed by the exact bit
+/// patterns of `(dof, p)`.
+///
+/// Each quantile is a bisection of about 60 incomplete-gamma steps, while
+/// the event counts behind a burn-down report are small repeated
+/// integers: a report over many context rows asks for the same few
+/// quantiles again and again. A memo scoped to one such computation pays
+/// for each distinct input once. A hit returns the bits a fresh call
+/// would, because the key is the exact input; failed calls are not
+/// stored, so an erroring input errors every time.
+///
+/// # Examples
+///
+/// ```
+/// use qrn_stats::special::{chi_square_quantile, QuantileMemo};
+///
+/// let mut memo = QuantileMemo::new();
+/// let q = memo.chi_square_quantile(6.0, 0.95).unwrap();
+/// assert_eq!(q.to_bits(), chi_square_quantile(6.0, 0.95).unwrap().to_bits());
+/// assert_eq!(memo.chi_square_quantile(6.0, 0.95).unwrap().to_bits(), q.to_bits());
+/// assert_eq!(memo.len(), 1);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct QuantileMemo {
+    quantiles: HashMap<(u64, u64), f64>,
+}
+
+impl QuantileMemo {
+    /// An empty memo.
+    pub fn new() -> Self {
+        QuantileMemo::default()
+    }
+
+    /// [`chi_square_quantile`]`(dof, p)`, computed on the first request
+    /// for these exact inputs and recalled afterwards.
+    ///
+    /// # Errors
+    ///
+    /// As [`chi_square_quantile`]; the error is not remembered.
+    pub fn chi_square_quantile(&mut self, dof: f64, p: f64) -> Result<f64, StatsError> {
+        let key = (dof.to_bits(), p.to_bits());
+        if let Some(&q) = self.quantiles.get(&key) {
+            return Ok(q);
+        }
+        let q = chi_square_quantile(dof, p)?;
+        self.quantiles.insert(key, q);
+        Ok(q)
+    }
+
+    /// Number of distinct quantiles held.
+    pub fn len(&self) -> usize {
+        self.quantiles.len()
+    }
+
+    /// True when no quantile has been computed yet.
+    pub fn is_empty(&self) -> bool {
+        self.quantiles.is_empty()
+    }
 }
 
 /// Regularized incomplete beta function `I_x(a, b)`.

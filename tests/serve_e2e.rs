@@ -9,9 +9,11 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use qrn::core::examples::{paper_allocation, paper_classification, paper_norm};
-use qrn::fleet::burndown::{burn_down, BurnDownConfig, FleetReport};
+use qrn::fleet::burndown::{
+    burn_down, burn_down_filtered, BurnDownConfig, ContextFilter, FleetReport,
+};
 use qrn::fleet::ingest::{ingest_str, FleetState};
-use qrn::fleet::telemetry::TelemetryConfig;
+use qrn::fleet::telemetry::{Scenario, TelemetryConfig};
 use qrn::serve::{ServeConfig, Server};
 use qrn::stats::prometheus::validate_exposition;
 use qrn::units::Hours;
@@ -358,7 +360,7 @@ fn zone_queries_serve_refinement_rows() {
     ledger.add_exposure(Some("urban"), 256.0);
     ledger.add_incident(None, "I2", 0.5);
     ledger.add_incident(Some("urban"), "I2", 0.5);
-    config.push_evidence(ledger);
+    config.push_evidence(ledger.clone());
     let handle = Server::start(config).unwrap();
     let addr = handle.addr();
 
@@ -368,9 +370,87 @@ fn zone_queries_serve_refinement_rows() {
     assert_eq!(zone.zone, "urban");
     assert_eq!(zone.exposure_hours, 256.0);
     assert!(!zone.goals.is_empty());
+    // The bare name selects by equality: the body is the ledger's
+    // offline "urban" row (this first read is look 1, as offline).
+    let offline = qrn::fleet::burndown::burn_down_evidence(
+        &paper_norm().unwrap(),
+        &paper_allocation(&paper_classification().unwrap()).unwrap(),
+        &ledger,
+        &BurnDownConfig {
+            by_zone: true,
+            ..BurnDownConfig::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(
+        body,
+        serde_json::to_string_pretty(&offline.zones[0]).unwrap()
+    );
 
     assert_eq!(get(addr, "/v1/burndown?zone=nowhere").0, 404);
     handle.stop().unwrap();
+}
+
+#[test]
+fn context_reads_match_the_offline_by_context_rows() {
+    // A banded fleet: every line carries an ODD-band context key.
+    let segments: Vec<String> = [21u64, 22, 23]
+        .iter()
+        .map(|&seed| {
+            TelemetryConfig::new(4)
+                .hours(Hours::new(64.0).unwrap())
+                .scenario(Scenario::Banded)
+                .seed(seed)
+                .generate_jsonl()
+                .unwrap()
+        })
+        .collect();
+    for sequential in [false, true] {
+        let (mut config, _) = test_config(&format!("context-rows-{sequential}"));
+        config.burndown.sequential = sequential;
+        let burndown = config.burndown;
+        let handle = Server::start(config).unwrap();
+        let addr = handle.addr();
+        for segment in &segments {
+            let (status, body) = post(addr, "/v1/ingest", segment);
+            assert_eq!(status, 200, "{body}");
+        }
+        let offline = burn_down_filtered(
+            &paper_norm().unwrap(),
+            &paper_allocation(&paper_classification().unwrap()).unwrap(),
+            &offline_state(&segments),
+            &BurnDownConfig {
+                by_zone: true,
+                ..burndown
+            },
+            &ContextFilter::all(),
+        )
+        .unwrap();
+        assert!(offline.zones.len() > 2);
+        // Each read spends one look; apart from that counter, the
+        // `?context=K` body is K's row of the offline by-context report.
+        for (look, row) in (1u64..).zip(&offline.zones) {
+            let (status, body) = get(addr, &format!("/v1/burndown?context={}", row.zone));
+            assert_eq!(status, 200, "{body}");
+            let mut expected = row.clone();
+            for goal in &mut expected.goals {
+                goal.looks = look;
+            }
+            assert_eq!(body, serde_json::to_string_pretty(&expected).unwrap());
+        }
+        // A where clause the selected context fails empties the
+        // selection: 404, as before the selector reached the filter.
+        let key = &offline.zones[0].zone;
+        let failing = offline.zones[1..]
+            .iter()
+            .flat_map(|row| row.zone.split(','))
+            .find(|pair| !key.split(',').any(|own| own == *pair))
+            .unwrap()
+            .replace('=', "%3D");
+        let (status, body) = get(addr, &format!("/v1/burndown?context={key}&where={failing}"));
+        assert_eq!(status, 404, "{body}");
+        handle.stop().unwrap();
+    }
 }
 
 #[test]

@@ -9,9 +9,11 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use qrn::core::examples::{paper_allocation, paper_classification, paper_norm};
-use qrn::fleet::burndown::{burn_down, BurnDownConfig, FleetReport};
+use qrn::fleet::burndown::{
+    burn_down, burn_down_filtered, BurnDownConfig, ContextFilter, FleetReport,
+};
 use qrn::fleet::ingest::{ingest_str, FleetState};
-use qrn::fleet::telemetry::TelemetryConfig;
+use qrn::fleet::telemetry::{Scenario, TelemetryConfig};
 use qrn::serve::{ServeConfig, Server};
 use qrn::store::StoreReader;
 use qrn::units::Hours;
@@ -68,15 +70,21 @@ fn post(addr: SocketAddr, target: &str, body: &str) -> (u16, String) {
 }
 
 /// One sequenced telemetry log split into three upload batches.
-/// Splitting *after* seq stamping keeps every vehicle's sequence
-/// monotone across batches, so the store's screening accepts them all.
 fn sequenced_batches() -> Vec<String> {
-    let log = TelemetryConfig::new(4)
-        .hours(Hours::new(96.0).unwrap())
-        .seed(5)
-        .stamp_seq(true)
-        .generate_jsonl()
-        .unwrap();
+    split_in_three(
+        &TelemetryConfig::new(4)
+            .hours(Hours::new(96.0).unwrap())
+            .seed(5)
+            .stamp_seq(true)
+            .generate_jsonl()
+            .unwrap(),
+    )
+}
+
+/// Splits a log into three upload batches. Splitting *after* seq
+/// stamping keeps every vehicle's sequence monotone across batches, so
+/// the store's screening accepts them all.
+fn split_in_three(log: &str) -> Vec<String> {
     let lines: Vec<&str> = log.lines().collect();
     let per_batch = lines.len().div_ceil(3);
     lines
@@ -173,6 +181,54 @@ fn store_recovery_is_byte_identical_to_the_checkpoint_path() {
     let (status, body) = get(addr, "/v1/burndown");
     assert_eq!(status, 200, "{body}");
     assert_eq!(body, offline_report(&batches));
+    handle.stop().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn as_of_context_reads_match_the_offline_rows() {
+    let dir = temp_dir("as-of-context");
+    let store_dir = dir.join("store");
+    let batches = split_in_three(
+        &TelemetryConfig::new(6)
+            .hours(Hours::new(128.0).unwrap())
+            .scenario(Scenario::Banded)
+            .seed(8)
+            .stamp_seq(true)
+            .generate_jsonl()
+            .unwrap(),
+    );
+    let handle = Server::start(test_config(&store_dir)).unwrap();
+    let addr = handle.addr();
+    for batch in &batches {
+        let (status, body) = post(addr, "/v1/ingest", batch);
+        assert_eq!(status, 200, "{body}");
+    }
+    let norm = paper_norm().unwrap();
+    let allocation = paper_allocation(&paper_classification().unwrap()).unwrap();
+    let config = BurnDownConfig {
+        by_zone: true,
+        ..BurnDownConfig::default()
+    };
+    let offline = burn_down_filtered(
+        &norm,
+        &allocation,
+        &offline_state(&batches),
+        &config,
+        &ContextFilter::all(),
+    )
+    .unwrap();
+    assert!(offline.zones.len() > 2);
+    // A historical read spends no look, so every `?as_of=&context=K`
+    // body is byte-equal to K's offline row, looks included.
+    for row in &offline.zones {
+        let target = format!("/v1/burndown?as_of={}&context={}", u64::MAX, row.zone);
+        let (status, body) = get(addr, &target);
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(body, serde_json::to_string_pretty(row).unwrap());
+    }
+    let target = format!("/v1/burndown?as_of={}&context=zone%3Datlantis", u64::MAX);
+    assert_eq!(get(addr, &target).0, 404);
     handle.stop().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
