@@ -35,7 +35,9 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// Reads the child's stdout until the "serving on http://HOST:PORT"
-/// banner appears and returns the address.
+/// banner appears and returns the address. The rest of stdout is drained
+/// on a thread: the server prints more lines after the banner, and a
+/// closed pipe would make those prints kill it.
 fn wait_for_addr(child: &mut Child) -> String {
     let stdout = child.stdout.take().expect("stdout piped");
     let mut lines = BufReader::new(stdout).lines();
@@ -46,6 +48,7 @@ fn wait_for_addr(child: &mut Child) -> String {
             .expect("stdout readable");
         if let Some(rest) = line.strip_prefix("serving on http://") {
             let addr = rest.split_whitespace().next().expect("address token");
+            std::thread::spawn(move || lines.for_each(drop));
             return addr.to_string();
         }
     }

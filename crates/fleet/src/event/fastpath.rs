@@ -11,7 +11,7 @@
 //! string, an unknown field, a newer version, a semantic error such as
 //! negative hours) makes the strict scanner bail, and
 //! [`parse_line_hybrid`] falls back to the tolerant `Value`-based
-//! [`parse_line_with_seq`].
+//! [`parse_line_with_seq`](super::parse_line_with_seq).
 //!
 //! The fast path therefore never makes a *skip* decision of its own:
 //! every line it accepts is one the tolerant parser provably accepts with
@@ -94,7 +94,8 @@ pub enum ParsedLine<'a> {
 
 impl ParsedLine<'_> {
     /// The owned `(event, seq)` this outcome denotes, if any — the shape
-    /// [`parse_line_with_seq`] returns, used by the differential tests.
+    /// [`parse_line_with_seq`](super::parse_line_with_seq) returns, used
+    /// by the differential tests.
     pub fn to_owned_event(&self) -> Result<Option<(FleetEvent, Option<u64>)>, SkipReason> {
         self.to_owned_meta()
             .map(|parsed| parsed.map(|(event, seq, _ctx)| (event, seq)))

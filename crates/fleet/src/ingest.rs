@@ -7,7 +7,7 @@
 //! the same work-stealing queue as `qrn-sim`'s campaign engine, with no
 //! per-shard striping: a shard that draws cheap (blank, short) lines
 //! simply claims more blocks. Each block is parsed, classified and folded
-//! into a [`ShardAccumulator`] partial; after the queue drains, partials
+//! into a `ShardAccumulator` partial; after the queue drains, partials
 //! are merged **in ascending block order**. Because the block partition
 //! depends only on the line count (never on the shard count or
 //! scheduling), the merged [`FleetState`] — including its floating-point

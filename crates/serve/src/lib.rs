@@ -34,7 +34,7 @@
 //! counters and checkpoint — so one deployment monitors one fleet
 //! against several verification targets. The bare `/v1/ingest` and
 //! `/v1/burndown` routes alias the item named
-//! [`DEFAULT_ITEM`](server::DEFAULT_ITEM), keeping single-item
+//! [`DEFAULT_ITEM`], keeping single-item
 //! deployments wire-compatible.
 //!
 //! # Engineering shape

@@ -504,9 +504,6 @@ impl Inner {
                         receipt.missing_seqs,
                         true,
                     ),
-                    Err(qrn_store::StoreError::Fleet(e)) => {
-                        return Response::text(400, "Bad Request", &format!("ingest failed: {e}"))
-                    }
                     Err(e) => {
                         return Response::text(
                             500,

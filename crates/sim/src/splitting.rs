@@ -135,7 +135,7 @@ impl SplittingConfig {
     }
 
     /// The default ladder: `count` levels growing geometrically from
-    /// [`FIRST_LEVEL`] = 0.5 by [`LEVEL_RATIO`] = 1.4 per step, with the
+    /// `FIRST_LEVEL` = 0.5 by `LEVEL_RATIO` = 1.4 per step, with the
     /// default effort of 8. This is what `--splitting-levels N` selects.
     pub fn geometric(count: usize) -> Self {
         let levels = (0..count)

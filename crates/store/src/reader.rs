@@ -29,11 +29,11 @@ use serde::Serialize;
 
 use qrn_core::IncidentClassification;
 use qrn_fleet::ingest::FleetState;
-use qrn_stats::evidence::EvidenceLedger;
 
 use crate::record::{Record, RecordKind};
 use crate::segment::{
-    decode_closed, list_closed, scan_open, ReplayState, SnapshotPayload, OPEN_SEGMENT,
+    closed_segment_name, decode_closed, list_closed, scan_open, OpenScan, ReplayState,
+    SnapshotPayload, OPEN_SEGMENT,
 };
 use crate::StoreError;
 
@@ -187,18 +187,7 @@ impl StoreReader {
         // Timestamps are non-decreasing, so the queryable prefix ends at
         // the first record past the cut.
         let prefix_len = records.iter().take_while(|r| r.ts <= cut).count();
-        let prefix = &records[..prefix_len];
-        // Fast path: start at the newest snapshot in the prefix (whose
-        // application REPLACEs the running state) and fold only the tail
-        // after it; with no snapshot, fold the whole prefix.
-        let start = prefix
-            .iter()
-            .rposition(|r| r.kind == RecordKind::Snapshot)
-            .unwrap_or(0);
-        let mut replay = ReplayState::default();
-        for record in &prefix[start..] {
-            replay.apply(record, &self.classification, self.shards)?;
-        }
+        let replay = ReplayState::fold(&records[..prefix_len], &self.classification, self.shards)?;
         Ok(summary(replay, torn))
     }
 
@@ -227,15 +216,25 @@ impl StoreReader {
     /// Propagates listing/read failures and corruption outside the open
     /// segment's torn tail.
     pub fn history(&self) -> Result<StoreHistory, StoreError> {
-        let (segments, _torn) = self.collect_segments()?;
-        let mut infos = Vec::with_capacity(segments.len());
+        let files = self.collect_files()?;
+        let segments = files
+            .closed
+            .iter()
+            .map(|s| (closed_segment_name(s.index), s.bytes, &s.records))
+            .chain(files.open.iter().map(|scan| {
+                (
+                    OPEN_SEGMENT.to_string(),
+                    scan.valid_len + scan.torn_bytes,
+                    &scan.records,
+                )
+            }));
+        let mut infos = Vec::new();
         let mut points = Vec::new();
         let mut replay = ReplayState::default();
-        let mut any = false;
-        for (name, bytes_len, records) in &segments {
+        for (name, bytes_len, records) in segments {
             let mut info = SegmentInfo {
-                file: name.clone(),
-                bytes: *bytes_len,
+                file: name,
+                bytes: bytes_len,
                 records: records.len() as u64,
                 batches: 0,
                 snapshots: 0,
@@ -248,7 +247,6 @@ impl StoreReader {
                     RecordKind::Snapshot => info.snapshots += 1,
                 }
                 replay.apply(record, &self.classification, self.shards)?;
-                any = true;
                 if record.kind == RecordKind::Snapshot {
                     points.push(HistoryPoint {
                         ts: replay.last_ts,
@@ -259,7 +257,7 @@ impl StoreReader {
             }
             infos.push(info);
         }
-        if any {
+        if replay.batches + replay.snapshots > 0 {
             points.push(HistoryPoint {
                 ts: replay.last_ts,
                 state: replay.state.clone(),
@@ -345,66 +343,93 @@ impl StoreReader {
     }
 
     /// Reads all records in global order (closed segments ascending,
-    /// then the open segment), with one retry to absorb a roll or
-    /// compaction racing the directory listing.
+    /// then the open segment), and the open segment's torn bytes.
     fn collect(&self) -> Result<(Vec<Record>, u64), StoreError> {
-        self.collect_segments().map(|(segments, torn)| {
-            (
-                segments
-                    .into_iter()
-                    .flat_map(|(_, _, records)| records)
-                    .collect(),
-                torn,
-            )
-        })
+        let files = self.collect_files()?;
+        let torn = files.torn_bytes();
+        Ok((files.into_records(), torn))
     }
 
-    /// Reads all segments in global order. Retries once: a roll renames
-    /// `open.seg` between listing and reading, a compaction deletes
-    /// just-listed segments — both surface as read/decode failures that
-    /// a fresh listing resolves.
-    #[allow(clippy::type_complexity)]
-    fn collect_segments(&self) -> Result<(Vec<(String, u64, Vec<Record>)>, u64), StoreError> {
-        match self.try_collect_segments() {
-            Ok(result) => Ok(result),
-            Err(_) => self.try_collect_segments(),
-        }
+    /// Reads all segments. Retries once: a roll renames `open.seg`
+    /// between listing and reading, a compaction deletes just-listed
+    /// segments — both surface as read/decode failures that a fresh
+    /// listing resolves.
+    fn collect_files(&self) -> Result<StoreFiles, StoreError> {
+        try_collect_segments(&self.dir).or_else(|_| try_collect_segments(&self.dir))
+    }
+}
+
+/// One closed segment, decoded.
+pub(crate) struct ClosedSegment {
+    /// The segment's index.
+    pub index: u64,
+    /// File size in bytes.
+    pub bytes: u64,
+    /// Its records, all checksum-valid.
+    pub records: Vec<Record>,
+}
+
+/// A store directory's segments, decoded: closed segments strictly, the
+/// open segment tolerantly.
+pub(crate) struct StoreFiles {
+    /// Closed segments, ascending by index (contiguous).
+    pub closed: Vec<ClosedSegment>,
+    /// The open segment's scan, or `None` when the file is missing (a
+    /// reader can list the directory mid-roll).
+    pub open: Option<OpenScan>,
+}
+
+impl StoreFiles {
+    /// Bytes of torn tail on the open segment.
+    pub fn torn_bytes(&self) -> u64 {
+        self.open.as_ref().map_or(0, |scan| scan.torn_bytes)
     }
 
-    #[allow(clippy::type_complexity)]
-    fn try_collect_segments(&self) -> Result<(Vec<(String, u64, Vec<Record>)>, u64), StoreError> {
-        let mut segments = Vec::new();
-        for (_, path) in list_closed(&self.dir)? {
-            let bytes = fs::read(&path)
-                .map_err(|e| StoreError::Io(format!("cannot read {}: {e}", path.display())))?;
-            let records = decode_closed(&bytes, &path)?;
-            let name = path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            segments.push((name, bytes.len() as u64, records));
-        }
-        let open_path = self.dir.join(OPEN_SEGMENT);
-        let mut torn = 0u64;
-        match fs::read(&open_path) {
-            Ok(bytes) => {
-                let scan = scan_open(&bytes, &open_path)?;
-                torn = scan.torn_bytes;
-                segments.push((OPEN_SEGMENT.to_string(), bytes.len() as u64, scan.records));
-            }
-            // The open segment may be missing mid-roll; its records are
-            // then in the just-closed segment already read (or will be
-            // on retry).
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => {
-                return Err(StoreError::Io(format!(
-                    "cannot read {}: {e}",
-                    open_path.display()
-                )));
-            }
-        }
-        Ok((segments, torn))
+    /// Every record in global order: closed segments ascending, then the
+    /// open segment.
+    pub fn into_records(self) -> Vec<Record> {
+        self.closed
+            .into_iter()
+            .flat_map(|segment| segment.records)
+            .chain(self.open.into_iter().flat_map(|scan| scan.records))
+            .collect()
     }
+}
+
+/// Lists and decodes every segment of the store at `dir` once, without
+/// retrying. Readers retry on failure (a writer may roll or compact
+/// under them); the writer's recovery holds the lock, so nothing moves
+/// under it.
+///
+/// # Errors
+///
+/// Propagates listing/read failures and corruption outside the open
+/// segment's torn tail.
+pub(crate) fn try_collect_segments(dir: &Path) -> Result<StoreFiles, StoreError> {
+    let mut closed = Vec::new();
+    for (index, path) in list_closed(dir)? {
+        let bytes = fs::read(&path)
+            .map_err(|e| StoreError::Io(format!("cannot read {}: {e}", path.display())))?;
+        closed.push(ClosedSegment {
+            index,
+            bytes: bytes.len() as u64,
+            records: decode_closed(&bytes, &path)?,
+        });
+    }
+    let open_path = dir.join(OPEN_SEGMENT);
+    let open = match fs::read(&open_path) {
+        Ok(bytes) => Some(scan_open(&bytes, &open_path)?),
+        // The open segment may be missing mid-roll; its records are then
+        // in the just-closed segment already read (or will be on retry).
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+        Err(e) => {
+            return Err(StoreError::Io(format!(
+                "cannot read {}: {e}",
+                open_path.display()
+            )));
+        }
+    };
+    Ok(StoreFiles { closed, open })
 }
 
 /// Compares one snapshot record against the independently replayed
@@ -423,7 +448,7 @@ fn check_snapshot(
             "record {index}: snapshot state differs from replayed state"
         ));
     }
-    if ledger_canonical(replayed.state.evidence()) != ledger_canonical(stored.state.evidence()) {
+    if replayed.state.evidence().canonical_json() != stored.state.evidence().canonical_json() {
         report.mismatches.push(format!(
             "record {index}: snapshot evidence ledger differs from replayed ledger"
         ));
@@ -449,10 +474,6 @@ fn check_snapshot(
             replayed.missing_seqs
         ));
     }
-}
-
-fn ledger_canonical(ledger: &EvidenceLedger) -> String {
-    ledger.canonical_json()
 }
 
 fn summary(replay: ReplayState, torn: u64) -> ReplaySummary {

@@ -13,8 +13,14 @@
 //! reader query use: batches are re-ingested batch-by-batch and merged
 //! in append order — the exact fold the live writer performed — and
 //! snapshots *replace* the running state with their stored payload.
-//! Byte-identity of recovery, time travel and compaction all reduce to
-//! this single code path.
+//! [`ReplayState::fold`] starts at the newest snapshot of the records it
+//! is given, so a reopen and a `fold_as_of` both cost the tail since
+//! that snapshot. Byte-identity of recovery, time travel and compaction
+//! all reduce to this single code path.
+//!
+//! Sequence cursors have one walk too: `screen_line` is the per-line
+//! advance the writer screens each batch with, and replay rebuilds the
+//! cursors by walking each stored batch with the same function.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -23,6 +29,7 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 
 use qrn_core::IncidentClassification;
+use qrn_fleet::event::fastpath::{parse_line_hybrid, ParsedLine};
 use qrn_fleet::ingest::{ingest_str, FleetState};
 
 use crate::record::{decode, Decoded, Record, RecordKind, MAGIC};
@@ -80,7 +87,8 @@ pub fn list_closed(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StoreError> {
 }
 
 /// Decodes a *closed* segment strictly: the magic must match and every
-/// byte must belong to a checksum-valid record.
+/// byte must belong to a checksum-valid record — the tolerant scan of
+/// [`scan_open`] must find no torn tail.
 ///
 /// # Errors
 ///
@@ -88,36 +96,24 @@ pub fn list_closed(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StoreError> {
 /// a truncated file — closed segments were fully synced before the
 /// rename that closed them, so none of these can be a crash artefact.
 pub fn decode_closed(bytes: &[u8], path: &Path) -> Result<Vec<Record>, StoreError> {
-    if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
+    let scan = scan_open(bytes, path)?;
+    let offset = scan.valid_len as usize;
+    if offset < MAGIC.len() {
         return Err(StoreError::Corrupt(format!(
             "{} does not start with the segment magic",
             path.display()
         )));
     }
-    let mut records = Vec::new();
-    let mut offset = MAGIC.len();
-    while offset < bytes.len() {
-        match decode(&bytes[offset..]) {
-            Ok(Decoded::Record(record, consumed)) => {
-                records.push(record);
-                offset += consumed;
-            }
-            Ok(Decoded::Truncated) => {
-                return Err(StoreError::Corrupt(format!(
-                    "{} is truncated at byte {offset} (closed segments are immutable)",
-                    path.display()
-                )));
-            }
-            Err(StoreError::Corrupt(msg)) => {
-                return Err(StoreError::Corrupt(format!(
-                    "{} at byte {offset}: {msg}",
-                    path.display()
-                )));
-            }
-            Err(other) => return Err(other),
-        }
+    if scan.torn_bytes == 0 {
+        return Ok(scan.records);
     }
-    Ok(records)
+    Err(StoreError::Corrupt(match decode(&bytes[offset..]) {
+        Err(StoreError::Corrupt(msg)) => format!("{} at byte {offset}: {msg}", path.display()),
+        _ => format!(
+            "{} is truncated at byte {offset} (closed segments are immutable)",
+            path.display()
+        ),
+    }))
 }
 
 /// Outcome of tolerantly scanning the open segment.
@@ -182,6 +178,40 @@ pub fn scan_open(bytes: &[u8], path: &Path) -> Result<OpenScan, StoreError> {
     })
 }
 
+/// Screens one telemetry line against the per-source sequence cursors.
+///
+/// Returns `None` for a **duplicate** — a sequenced line whose `seq` is
+/// at or below its vehicle's cursor — and otherwise the count of
+/// sequence numbers the line skipped past `cursor + 1` (0 when it is in
+/// order), having moved the cursor up to its `seq`. Unsequenced, blank
+/// and malformed lines return `Some(0)` and touch no cursor. A vehicle's
+/// cursor is created at 0 on its first sequenced line (interning its id
+/// once; later lines allocate nothing), so `seq` 0 is always a
+/// duplicate.
+///
+/// This is the store's only cursor walk: the writer screens batches
+/// with it and [`ReplayState::apply`] rebuilds cursors with it.
+pub(crate) fn screen_line(line: &str, cursors: &mut BTreeMap<String, u64>) -> Option<u64> {
+    match parse_line_hybrid(line) {
+        ParsedLine::Fast(event, Some(seq), _) => advance(cursors, event.vehicle(), seq),
+        ParsedLine::Owned(event, Some(seq), _) => advance(cursors, event.vehicle(), seq),
+        _ => Some(0),
+    }
+}
+
+fn advance(cursors: &mut BTreeMap<String, u64>, vehicle: &str, seq: u64) -> Option<u64> {
+    if !cursors.contains_key(vehicle) {
+        cursors.insert(vehicle.to_string(), 0);
+    }
+    let cursor = cursors.get_mut(vehicle).expect("cursor was just ensured");
+    if seq <= *cursor {
+        return None;
+    }
+    let missing = seq - *cursor - 1;
+    *cursor = seq;
+    Some(missing)
+}
+
 /// The payload of a snapshot record: the cumulative fold state and the
 /// sequence-screening bookkeeping at one point of the log. On replay it
 /// *replaces* the running [`ReplayState`] — it is the literal serialised
@@ -227,6 +257,31 @@ pub struct ReplayState {
 }
 
 impl ReplayState {
+    /// Folds `records` (in append order) from the newest snapshot among
+    /// them, or from the first record when there is none. A snapshot
+    /// replaces everything folded before it, so this equals a fold of
+    /// every record byte for byte, except that `batches` and
+    /// `snapshots` count only the records actually folded.
+    ///
+    /// # Errors
+    ///
+    /// As [`ReplayState::apply`].
+    pub fn fold(
+        records: &[Record],
+        classification: &IncidentClassification,
+        shards: usize,
+    ) -> Result<ReplayState, StoreError> {
+        let start = records
+            .iter()
+            .rposition(|r| r.kind == RecordKind::Snapshot)
+            .unwrap_or(0);
+        let mut replay = ReplayState::default();
+        for record in &records[start..] {
+            replay.apply(record, classification, shards)?;
+        }
+        Ok(replay)
+    }
+
     /// Applies one record: a batch is re-ingested from its stored text
     /// and merged (the same fold the live writer performed), a snapshot
     /// replaces the running state with its payload.
@@ -249,18 +304,11 @@ impl ReplayState {
                 let segment = ingest_str(text, classification, shards)?;
                 self.events_since_snapshot += segment.events();
                 self.state.merge(&segment);
-                // The stored text is the *screened* batch: surviving
-                // sequenced lines carry strictly increasing seqs per
-                // vehicle, so walking them rebuilds the exact cursors.
+                // The stored text is the *screened* batch: screening it
+                // again from the cursors it was screened against keeps
+                // every line and rebuilds the exact cursors.
                 for line in text.lines() {
-                    if let Ok(Some((event, Some(seq)))) =
-                        qrn_fleet::event::parse_line_with_seq(line)
-                    {
-                        let cursor = self.cursors.entry(event.vehicle().to_string()).or_insert(0);
-                        if seq > *cursor {
-                            *cursor = seq;
-                        }
-                    }
+                    screen_line(line, &mut self.cursors);
                 }
                 self.duplicates += u64::from(record.duplicates);
                 self.gap_events += u64::from(record.gap_events);

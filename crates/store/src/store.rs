@@ -5,16 +5,30 @@
 //! [`crate::writer::StoreWriterHandle`]. Appending a batch is:
 //!
 //! 1. **Screen** the batch line-by-line against per-source sequence
-//!    cursors: duplicate `seq`s are dropped (counted), gaps are counted
-//!    but the jumped-to line is kept, unsequenced and malformed lines
-//!    pass through verbatim so replay re-derives the exact skip tallies.
+//!    cursors, advancing them in place: duplicate `seq`s are dropped
+//!    (counted), gaps are counted but the jumped-to line is kept,
+//!    unsequenced and malformed lines pass through verbatim so replay
+//!    re-derives the exact skip tallies.
 //! 2. **Ingest** the surviving text into a [`FleetState`] segment and
 //!    **append** it — screened text, screening deltas and a monotone
 //!    timestamp — as one checksummed record, fsynced before the call
-//!    returns. What is acknowledged is durable.
+//!    returns. What is acknowledged is durable. Any failure leaves the
+//!    cursors ahead of the disk, so a failed append abandons the store
+//!    until a reopen.
 //! 3. **Fold** the segment into the in-memory replica (the same
 //!    `merge` fold every other layer uses), and, on cadence, write a
 //!    snapshot record, roll the open segment, and compact closed ones.
+//!    Compaction runs only while the open segment is empty, when the
+//!    replica is exactly the closed segments' state, so it snapshots
+//!    the replica itself.
+//!
+//! # Recovery
+//!
+//! [`Store::open`] reads the directory with the reader's segment
+//! collection and folds it with the reader's fold, from the newest
+//! snapshot on; only the lock, the torn-tail repair and the append
+//! handle are the writer's own. Each piece of the replica — state,
+//! cursors, tallies — is held once, in one [`ReplayState`].
 //!
 //! # Durability discipline
 //!
@@ -44,13 +58,12 @@ use std::path::{Path, PathBuf};
 
 use qrn_core::IncidentClassification;
 use qrn_fleet::checkpoint::fsync_dir;
-use qrn_fleet::event::fastpath::{parse_line_hybrid, ParsedLine};
 use qrn_fleet::ingest::{ingest_str, FleetState};
 
+use crate::reader::try_collect_segments;
 use crate::record::{Record, RecordKind, MAGIC};
 use crate::segment::{
-    closed_segment_name, decode_closed, list_closed, scan_open, ReplayState, SnapshotPayload,
-    OPEN_SEGMENT,
+    closed_segment_name, screen_line, ReplayState, SnapshotPayload, OPEN_SEGMENT,
 };
 use crate::StoreError;
 
@@ -136,9 +149,10 @@ pub struct StoreStatus {
     pub open_bytes: u64,
     /// Total record bytes appended or replayed this process (monotone).
     pub appended_bytes: u64,
-    /// Batch records written or replayed.
+    /// Batch records folded at open (the tail after the newest
+    /// snapshot) or written since.
     pub batches: u64,
-    /// Snapshot records written or replayed.
+    /// Snapshot records folded at open (0 or 1) or written since.
     pub snapshots: u64,
     /// Duplicate sequenced lines rejected, cumulatively.
     pub duplicates: u64,
@@ -155,19 +169,6 @@ pub struct StoreStatus {
     pub compactions: u64,
 }
 
-/// Bookkeeping captured at the most recent closed-segment boundary, so
-/// compaction can snapshot *exactly* the state the closed segments
-/// replay to — never the open segment's uncommitted progress.
-#[derive(Debug, Clone)]
-struct SealedBoundary {
-    state: FleetState,
-    cursors: BTreeMap<String, u64>,
-    duplicates: u64,
-    gap_events: u64,
-    missing_seqs: u64,
-    ts: u64,
-}
-
 /// Per-batch outcome of sequence screening.
 struct Screened {
     kept: String,
@@ -176,7 +177,8 @@ struct Screened {
     missing_seqs: u32,
 }
 
-/// Screens one batch against the per-source cursors, advancing them.
+/// Screens one batch against the per-source cursors, advancing them in
+/// place (see [`screen_line`]).
 ///
 /// * a sequenced line with `seq` at or below its vehicle's cursor is a
 ///   **duplicate**: dropped and counted — at-least-once delivery must
@@ -196,36 +198,17 @@ fn screen(text: &str, cursors: &mut BTreeMap<String, u64>) -> Screened {
     let mut duplicates = 0u32;
     let mut gap_events = 0u32;
     let mut missing = 0u64;
-    // Advances one vehicle's cursor (interned on first sighting only —
-    // steady-state screening allocates no id strings) and reports
-    // whether the line should be kept.
-    let mut advance = |vehicle: &str, seq: u64| -> bool {
-        if !cursors.contains_key(vehicle) {
-            cursors.insert(vehicle.to_string(), 0);
-        }
-        let cursor = cursors.get_mut(vehicle).expect("cursor was just ensured");
-        if seq <= *cursor {
-            duplicates = duplicates.saturating_add(1);
-            return false;
-        }
-        if seq > *cursor + 1 {
-            gap_events = gap_events.saturating_add(1);
-            missing += seq - *cursor - 1;
-        }
-        *cursor = seq;
-        true
-    };
     for line in text.lines() {
-        let keep = match parse_line_hybrid(line) {
-            ParsedLine::Fast(event, Some(seq), _) => advance(event.vehicle(), seq),
-            ParsedLine::Owned(ref event, Some(seq), _) => advance(event.vehicle(), seq),
-            // Unsequenced, blank and malformed lines pass through
-            // verbatim, exactly as the tolerant-only screen did.
-            _ => true,
-        };
-        if keep {
-            kept.push_str(line);
-            kept.push('\n');
+        match screen_line(line, cursors) {
+            None => duplicates = duplicates.saturating_add(1),
+            Some(skipped) => {
+                if skipped > 0 {
+                    gap_events = gap_events.saturating_add(1);
+                    missing += skipped;
+                }
+                kept.push_str(line);
+                kept.push('\n');
+            }
         }
     }
     Screened {
@@ -252,7 +235,6 @@ pub struct Store {
     next_segment: u64,
     first_closed: u64,
     replay: ReplayState,
-    sealed: SealedBoundary,
     appended_bytes: u64,
     segments_created: u64,
     compactions: u64,
@@ -263,9 +245,11 @@ pub struct Store {
 }
 
 impl Store {
-    /// Opens (or creates) the store at `dir`, replaying its segments to
-    /// recover the live replica: closed segments strictly, the open
-    /// segment tolerantly with its torn tail (if any) truncated away.
+    /// Opens (or creates) the store at `dir` and recovers the live
+    /// replica: every segment is decoded — closed segments strictly, the
+    /// open segment tolerantly with its torn tail (if any) truncated away
+    /// — and the records are folded from the newest snapshot, exactly as
+    /// [`crate::StoreReader::fold_as_of`] folds them.
     ///
     /// # Errors
     ///
@@ -284,71 +268,33 @@ impl Store {
             .map_err(|e| StoreError::Io(format!("cannot create {}: {e}", dir.display())))?;
         let lock = acquire_lock(dir)?;
 
-        let closed = list_closed(dir)?;
-        let mut replay = ReplayState::default();
-        let mut appended_bytes = 0u64;
-        for (_, path) in &closed {
-            let bytes = fs::read(path)
-                .map_err(|e| StoreError::Io(format!("cannot read {}: {e}", path.display())))?;
-            for record in decode_closed(&bytes, path)? {
-                replay.apply(&record, &classification, config.parse_shards)?;
-            }
-            // Accounted only after decode_closed validated the segment,
-            // so a short corrupt file reports Corrupt instead of
-            // underflowing the tally.
-            appended_bytes += (bytes.len() - MAGIC.len()) as u64;
-        }
-        // The sealed boundary is the state the *closed* segments replay
-        // to — captured before the open segment's records are folded.
-        let sealed = SealedBoundary {
-            state: replay.state.clone(),
-            cursors: replay.cursors.clone(),
-            duplicates: replay.duplicates,
-            gap_events: replay.gap_events,
-            missing_seqs: replay.missing_seqs,
-            ts: replay.last_ts,
-        };
-        let (first_closed, next_segment) = match (closed.first(), closed.last()) {
-            (Some((first, _)), Some((last, _))) => (*first, *last + 1),
+        let files = try_collect_segments(dir)?;
+        let magic = MAGIC.len() as u64;
+        let (first_closed, next_segment) = match (files.closed.first(), files.closed.last()) {
+            (Some(first), Some(last)) => (first.index, last.index + 1),
             _ => (1, 1),
         };
+        let closed_bytes: u64 = files.closed.iter().map(|s| s.bytes - magic).sum();
+        let segments_created = files.closed.len() as u64 + 1;
+        let open_scan = files.open.as_ref().map(|s| (s.valid_len, s.torn_bytes));
+        let replay =
+            ReplayState::fold(&files.into_records(), &classification, config.parse_shards)?;
 
         let open_path = dir.join(OPEN_SEGMENT);
-        let mut open_bytes = MAGIC.len() as u64;
-        if open_path.exists() {
-            let bytes = fs::read(&open_path)
-                .map_err(|e| StoreError::Io(format!("cannot read {}: {e}", open_path.display())))?;
-            let scan = scan_open(&bytes, &open_path)?;
-            if scan.valid_len < MAGIC.len() as u64 {
-                // A crash during segment creation: no records can exist,
-                // re-initialise the file below.
+        let open_bytes = match open_scan {
+            Some((valid_len, torn_bytes)) if valid_len >= magic => {
+                if torn_bytes > 0 {
+                    truncate(&open_path, valid_len)?;
+                }
+                valid_len
+            }
+            // Missing, or a crash during segment creation: no records
+            // can exist, so (re-)initialise the file.
+            _ => {
                 write_fresh_segment(&open_path)?;
-            } else if scan.torn_bytes > 0 {
-                // Truncate the torn tail in place so the append position
-                // is exactly past the last intact record.
-                let file = fs::OpenOptions::new()
-                    .write(true)
-                    .open(&open_path)
-                    .map_err(|e| {
-                        StoreError::Io(format!("cannot open {}: {e}", open_path.display()))
-                    })?;
-                file.set_len(scan.valid_len).map_err(|e| {
-                    StoreError::Io(format!("cannot truncate {}: {e}", open_path.display()))
-                })?;
-                file.sync_all().map_err(|e| {
-                    StoreError::Io(format!("cannot sync {}: {e}", open_path.display()))
-                })?;
+                magic
             }
-            if scan.valid_len >= MAGIC.len() as u64 {
-                open_bytes = scan.valid_len;
-                appended_bytes += scan.valid_len - MAGIC.len() as u64;
-            }
-            for record in &scan.records {
-                replay.apply(record, &classification, config.parse_shards)?;
-            }
-        } else {
-            write_fresh_segment(&open_path)?;
-        }
+        };
         let open_file = fs::OpenOptions::new()
             .append(true)
             .open(&open_path)
@@ -364,9 +310,8 @@ impl Store {
             next_segment,
             first_closed,
             replay,
-            sealed,
-            appended_bytes,
-            segments_created: closed.len() as u64 + 1,
+            appended_bytes: closed_bytes + open_bytes - magic,
+            segments_created,
             compactions: 0,
             dirty: false,
         })
@@ -416,13 +361,14 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Fleet`] when the screened batch does not
-    /// ingest — nothing was staged or written, the store stays fully
-    /// usable — and [`StoreError::Io`] when the append cannot be made
-    /// durable. After an i/o error the open segment may hold a torn
-    /// record, so callers must stop using the store
+    /// Returns [`StoreError::Io`] when the append cannot be made durable.
+    /// Screening advances the cursors in place before the record is
+    /// written, and the open segment may then hold a torn record, so
+    /// after *any* error callers must stop using the store
     /// ([`crate::writer::StoreWriterHandle`] poisons the item until a
-    /// reopen re-derives consistent state from disk).
+    /// reopen re-derives consistent state from disk). With the
+    /// configuration validated at [`Store::open`], i/o is the only step
+    /// after screening that can fail.
     pub fn append_batch(
         &mut self,
         text: &str,
@@ -480,13 +426,10 @@ impl Store {
         sync_now: bool,
     ) -> Result<AppendReceipt, StoreError> {
         let ts = ts_millis.max(self.replay.last_ts);
-        // Screening stages its cursor advances on a copy: they commit
-        // only once the record is durably on disk, so a failed append
-        // can never leave cursors ahead of what was persisted — a
-        // retried batch after an ingest error is screened exactly as if
-        // the failed attempt never happened.
-        let mut cursors = self.replay.cursors.clone();
-        let screened = screen(text, &mut cursors);
+        // Screening advances the cursors in place: a failed append
+        // leaves them ahead of the disk, which is why any error abandons
+        // the store until a reopen.
+        let screened = screen(text, &mut self.replay.cursors);
         let segment = ingest_str(
             &screened.kept,
             &self.classification,
@@ -502,7 +445,6 @@ impl Store {
         };
         let stored_bytes = self.write_record(&record, sync_now)?;
 
-        self.replay.cursors = cursors;
         self.replay.state.merge(&segment);
         self.replay.duplicates += u64::from(screened.duplicates);
         self.replay.gap_events += u64::from(screened.gap_events);
@@ -553,23 +495,7 @@ impl Store {
     }
 
     fn write_snapshot_inner(&mut self, ts: u64, sync_now: bool) -> Result<(), StoreError> {
-        let payload = SnapshotPayload {
-            state: self.replay.state.clone(),
-            cursors: self.replay.cursors.clone(),
-            duplicates: self.replay.duplicates,
-            gap_events: self.replay.gap_events,
-            missing_seqs: self.replay.missing_seqs,
-        };
-        let record = Record {
-            kind: RecordKind::Snapshot,
-            ts: ts.max(self.replay.last_ts),
-            duplicates: 0,
-            gap_events: 0,
-            missing_seqs: 0,
-            payload: serde_json::to_string(&payload)
-                .expect("snapshot payload is serialisable")
-                .into_bytes(),
-        };
+        let record = self.snapshot_record(ts.max(self.replay.last_ts));
         self.write_record(&record, sync_now)?;
         self.replay.snapshots += 1;
         self.replay.events_since_snapshot = 0;
@@ -593,6 +519,27 @@ impl Store {
         }
         self.compact_closed()?;
         Ok(true)
+    }
+
+    /// A snapshot record of the replica as it stands, stamped `ts`.
+    fn snapshot_record(&self, ts: u64) -> Record {
+        let payload = SnapshotPayload {
+            state: self.replay.state.clone(),
+            cursors: self.replay.cursors.clone(),
+            duplicates: self.replay.duplicates,
+            gap_events: self.replay.gap_events,
+            missing_seqs: self.replay.missing_seqs,
+        };
+        Record {
+            kind: RecordKind::Snapshot,
+            ts,
+            duplicates: 0,
+            gap_events: 0,
+            missing_seqs: 0,
+            payload: serde_json::to_string(&payload)
+                .expect("snapshot payload is serialisable")
+                .into_bytes(),
+        }
     }
 
     /// Appends `record` to the open segment, fsyncing it immediately
@@ -643,14 +590,6 @@ impl Store {
         self.open_bytes = MAGIC.len() as u64;
         self.next_segment += 1;
         self.segments_created += 1;
-        self.sealed = SealedBoundary {
-            state: self.replay.state.clone(),
-            cursors: self.replay.cursors.clone(),
-            duplicates: self.replay.duplicates,
-            gap_events: self.replay.gap_events,
-            missing_seqs: self.replay.missing_seqs,
-            ts: self.replay.last_ts,
-        };
         Ok(())
     }
 
@@ -660,28 +599,22 @@ impl Store {
     /// segments, or the snapshot preceded by some not-yet-deleted batch
     /// segments — both replay to the same state, because the snapshot
     /// *replaces* whatever folded before it.
+    ///
+    /// Called only while the open segment is empty — right after a roll,
+    /// or from [`Store::compact`] once it sealed or found the open
+    /// segment empty — so the replica *is* the state the closed segments
+    /// replay to, and the snapshot is taken from it directly.
     fn compact_closed(&mut self) -> Result<(), StoreError> {
+        assert_eq!(
+            self.open_bytes,
+            MAGIC.len() as u64,
+            "compaction needs an empty open segment"
+        );
         let last = self.next_segment - 1;
         if last < self.first_closed {
             return Ok(());
         }
-        let payload = SnapshotPayload {
-            state: self.sealed.state.clone(),
-            cursors: self.sealed.cursors.clone(),
-            duplicates: self.sealed.duplicates,
-            gap_events: self.sealed.gap_events,
-            missing_seqs: self.sealed.missing_seqs,
-        };
-        let record = Record {
-            kind: RecordKind::Snapshot,
-            ts: self.sealed.ts,
-            duplicates: 0,
-            gap_events: 0,
-            missing_seqs: 0,
-            payload: serde_json::to_string(&payload)
-                .expect("snapshot payload is serialisable")
-                .into_bytes(),
-        };
+        let record = self.snapshot_record(self.replay.last_ts);
         let mut bytes = MAGIC.to_vec();
         bytes.extend_from_slice(&record.encode());
         let target = self.dir.join(closed_segment_name(last));
@@ -729,6 +662,20 @@ fn acquire_lock(dir: &Path) -> Result<fs::File, StoreError> {
             path.display()
         ))),
     }
+}
+
+/// Cuts the open segment at `path` back to `len` bytes — past its last
+/// intact record — and syncs it.
+fn truncate(path: &Path, len: u64) -> Result<(), StoreError> {
+    let io_err = |what: &str, e: std::io::Error| {
+        StoreError::Io(format!("cannot {what} {}: {e}", path.display()))
+    };
+    let file = fs::OpenOptions::new()
+        .write(true)
+        .open(path)
+        .map_err(|e| io_err("open", e))?;
+    file.set_len(len).map_err(|e| io_err("truncate", e))?;
+    file.sync_all().map_err(|e| io_err("sync", e))
 }
 
 /// Creates (or truncates) a segment file holding just the magic, synced
@@ -1001,6 +948,34 @@ mod tests {
         let store = open(&dir, config);
         assert_eq!(store.status().snapshots, 1);
         assert_eq!(serde_json::to_string(store.state()).unwrap(), live);
+    }
+
+    #[test]
+    fn recovery_folds_only_the_tail_since_the_newest_snapshot() {
+        let dir = temp_dir("tail-recovery");
+        let config = StoreConfig {
+            snapshot_every_events: 3,
+            roll_bytes: 700,
+            ..StoreConfig::default()
+        };
+        let mut store = open(&dir, config);
+        for seq in 1..=10u64 {
+            store.append_batch(&line("A", 0.5, Some(seq)), seq).unwrap();
+        }
+        let live = serde_json::to_string(store.state()).unwrap();
+        assert!(store.status().closed_segments > 0);
+        drop(store);
+        // Snapshots after events 3, 6 and 9: the reopen folds the
+        // newest one and the one batch after it, across segments.
+        let mut store = open(&dir, config);
+        assert_eq!(serde_json::to_string(store.state()).unwrap(), live);
+        assert_eq!((store.status().snapshots, store.status().batches), (1, 1));
+        assert_eq!(store.cursors().get("A"), Some(&10));
+        // The cadence resumes where the writer left it.
+        let receipt = store.append_batch(&line("A", 0.5, Some(11)), 11).unwrap();
+        assert!(!receipt.snapshot_written);
+        let receipt = store.append_batch(&line("A", 0.5, Some(12)), 12).unwrap();
+        assert!(receipt.snapshot_written);
     }
 
     #[test]

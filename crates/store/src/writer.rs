@@ -3,7 +3,7 @@
 //!
 //! A [`Store`] is deliberately `&mut self` for every mutation — one
 //! owner, one append order, one fold. A server with a worker pool gets
-//! that owner here: [`spawn`] moves the stores of all items into one
+//! that owner here: [`spawn_with`] moves the stores of all items into one
 //! background thread, and [`StoreWriterHandle::append`] sends each
 //! batch over a channel and blocks on a per-call reply. Appends across
 //! items interleave in one total order, and no segment file is ever
@@ -35,11 +35,11 @@
 //! receipt's segment into its live state there, which keeps the live
 //! state byte-identical to a store replay even under concurrent ingest.
 //!
-//! An append that fails with an i/o or corruption error **poisons** its
-//! item: the failed write may have left a torn record in the open
-//! segment, so every later append for that item is refused with a clear
-//! error instead of being screened (and possibly acknowledged) against
-//! state the disk never saw. Batches of the same group staged earlier on
+//! An append that fails **poisons** its item, whatever the error:
+//! screening advanced the cursors in place and the failed write may have
+//! left a torn record in the open segment, so every later append for
+//! that item is refused with a clear error instead of being screened
+//! (and possibly acknowledged) against state the disk never saw. Batches of the same group staged earlier on
 //! the poisoned item were written but never covered by an fsync and
 //! never will be, so they fail too — none of them was acknowledged. A
 //! process restart reopens the store and re-derives consistent cursors
@@ -57,8 +57,7 @@ use crate::StoreError;
 /// cover. Each group costs one fsync per item it touches, so the cap
 /// bounds the worst-case latency a queued batch can accrue behind a
 /// large group; 64 batches is far past the point where the fsync stops
-/// dominating. [`spawn`] uses this; [`spawn_with`] takes an explicit
-/// cap (the server exposes it as `--store-group-commit`).
+/// dominating. The server's `--store-group-commit` defaults to it.
 pub const DEFAULT_GROUP_COMMIT: usize = 64;
 
 /// Lock-free, monotone counters one store's writer publishes for
@@ -71,16 +70,10 @@ pub struct StoreStats {
     pub segments_created: AtomicU64,
     /// Record bytes appended or replayed this process.
     pub appended_bytes: AtomicU64,
-    /// Batch records written or replayed.
-    pub batches: AtomicU64,
-    /// Snapshot records written or replayed.
-    pub snapshots: AtomicU64,
     /// Duplicate sequenced lines rejected, cumulatively.
     pub duplicates: AtomicU64,
     /// Sequence gaps detected, cumulatively.
     pub gap_events: AtomicU64,
-    /// Sequence numbers missing across those gaps, cumulatively.
-    pub missing_seqs: AtomicU64,
     /// Compactions performed this process.
     pub compactions: AtomicU64,
     /// Group commits performed this process: one per item per writer
@@ -102,12 +95,8 @@ impl StoreStats {
             .store(status.segments_created, Ordering::Relaxed);
         self.appended_bytes
             .store(status.appended_bytes, Ordering::Relaxed);
-        self.batches.store(status.batches, Ordering::Relaxed);
-        self.snapshots.store(status.snapshots, Ordering::Relaxed);
         self.duplicates.store(status.duplicates, Ordering::Relaxed);
         self.gap_events.store(status.gap_events, Ordering::Relaxed);
-        self.missing_seqs
-            .store(status.missing_seqs, Ordering::Relaxed);
         self.compactions
             .store(status.compactions, Ordering::Relaxed);
     }
@@ -134,9 +123,10 @@ enum Command {
 
 /// One item's store as the writer thread owns it.
 struct OwnedStore {
-    /// `None` once an i/o or corruption error poisoned the store: the
-    /// failed write may have torn the open segment, so appends are
-    /// refused until a process restart reopens and recovers from disk.
+    /// `None` once a failed append poisoned the store: its cursors may
+    /// be ahead of the disk and the failed write may have torn the open
+    /// segment, so appends are refused until a process restart reopens
+    /// and recovers from disk.
     store: Option<Store>,
     hook: Option<AppendHook>,
     stats: Arc<StoreStats>,
@@ -160,23 +150,12 @@ pub struct StoreWriterHandle {
     stats: BTreeMap<String, Arc<StoreStats>>,
 }
 
-/// [`spawn_with`] using [`DEFAULT_GROUP_COMMIT`] as the group cap.
-///
-/// # Errors
-///
-/// Returns [`StoreError::Config`] for an empty store list.
-pub fn spawn(
-    stores: Vec<(String, Store, Option<AppendHook>)>,
-) -> Result<StoreWriterHandle, StoreError> {
-    spawn_with(stores, DEFAULT_GROUP_COMMIT)
-}
-
 /// Moves `stores` (item name → opened store, plus an optional per-item
 /// [`AppendHook`]) into a background writer thread and returns the
 /// handle the server appends through. Each drain cycle group-commits up
 /// to `group_commit_max` queued batches under one fsync per item (see
 /// the module docs); `1` disables grouping and restores one fsync per
-/// batch.
+/// batch, and [`DEFAULT_GROUP_COMMIT`] is the server's default.
 ///
 /// # Errors
 ///
@@ -273,9 +252,9 @@ fn poisoned_error(item: &str) -> StoreError {
 }
 
 /// Pass 1 of a group commit: write one batch with its sync deferred and
-/// stage the pending reply, or fail the caller (and, on a poisoning
-/// error, every batch of this group staged earlier on the same item —
-/// their records were written but will never be covered by an fsync).
+/// stage the pending reply, or fail the caller, poison the item and fail
+/// every batch of this group staged earlier on it — their records were
+/// written but will never be covered by an fsync.
 fn stage_append(
     owned: &mut BTreeMap<String, OwnedStore>,
     staged: &mut Vec<PendingAppend>,
@@ -309,26 +288,21 @@ fn stage_append(
             reply,
         }),
         Err(error) => {
-            // The failed write may have torn the open segment: poison
-            // the store so no later append is screened against state
-            // disk never saw. Config/Fleet errors reject the batch
-            // before anything is written; the store stays consistent.
-            if matches!(error, StoreError::Io(_) | StoreError::Corrupt(_)) {
-                entry.store = None;
-                let mut index = 0;
-                while index < staged.len() {
-                    if staged[index].item == item {
-                        let failed = staged.remove(index);
-                        let _ = failed.reply.send(Err(StoreError::Io(format!(
-                            "a later append in the same commit group failed before the \
-                             fsync covering this batch; the store for item {item:?} is \
-                             poisoned until a restart reopens it"
-                        ))));
-                    } else {
-                        index += 1;
-                    }
+            // Screening advanced the cursors and the failed write may
+            // have torn the open segment: poison the store so no later
+            // append is screened against state disk never saw.
+            entry.store = None;
+            staged.retain(|pending| {
+                if pending.item != item {
+                    return true;
                 }
-            }
+                let _ = pending.reply.send(Err(StoreError::Io(format!(
+                    "a later append in the same commit group failed before the \
+                     fsync covering this batch; the store for item {item:?} is \
+                     poisoned until a restart reopens it"
+                ))));
+                false
+            });
             let _ = reply.send(Err(error));
         }
     }
@@ -501,7 +475,11 @@ mod tests {
     fn spawn_one(dir: &std::path::Path) -> StoreWriterHandle {
         let store =
             Store::open(dir, paper_classification().unwrap(), StoreConfig::default()).unwrap();
-        spawn(vec![("default".to_string(), store, None)]).unwrap()
+        spawn_with(
+            vec![("default".to_string(), store, None)],
+            DEFAULT_GROUP_COMMIT,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -525,7 +503,6 @@ mod tests {
             w.join().unwrap();
         }
         let stats = handle.stats("default").unwrap();
-        assert_eq!(stats.batches.load(Ordering::Relaxed), 32);
         assert_eq!(stats.duplicates.load(Ordering::Relaxed), 0);
         // Every batch was covered by some group commit.
         assert_eq!(stats.group_commit_batches.load(Ordering::Relaxed), 32);
@@ -571,7 +548,10 @@ mod tests {
 
     #[test]
     fn spawning_without_stores_is_rejected() {
-        assert!(matches!(spawn(Vec::new()), Err(StoreError::Config(_))));
+        assert!(matches!(
+            spawn_with(Vec::new(), DEFAULT_GROUP_COMMIT),
+            Err(StoreError::Config(_))
+        ));
     }
 
     #[test]
@@ -602,7 +582,11 @@ mod tests {
             },
         )
         .unwrap();
-        let handle = spawn(vec![("default".to_string(), store, None)]).unwrap();
+        let handle = spawn_with(
+            vec![("default".to_string(), store, None)],
+            DEFAULT_GROUP_COMMIT,
+        )
+        .unwrap();
         handle
             .append("default", format!("{}\n", line("A", 1)), 1)
             .unwrap();
@@ -648,7 +632,11 @@ mod tests {
         let hook: AppendHook = Box::new(move |receipt| {
             hook_seen.lock().unwrap().push(receipt.ts);
         });
-        let handle = spawn(vec![("default".to_string(), store, Some(hook))]).unwrap();
+        let handle = spawn_with(
+            vec![("default".to_string(), store, Some(hook))],
+            DEFAULT_GROUP_COMMIT,
+        )
+        .unwrap();
         for i in 1..=3u64 {
             handle
                 .append("default", format!("{}\n", line("A", i)), i * 100)
@@ -705,7 +693,6 @@ mod tests {
             w.join().unwrap();
         }
         let stats = handle.stats("default").unwrap();
-        assert_eq!(stats.batches.load(Ordering::Relaxed), 32);
         assert_eq!(stats.group_commit_batches.load(Ordering::Relaxed), 32);
         let groups = stats.group_commits.load(Ordering::Relaxed);
         assert!((1..=32).contains(&groups), "groups: {groups}");

@@ -24,7 +24,7 @@ use qrn_core::incident::IncidentRecord;
 use qrn_core::object::{Involvement, ObjectType};
 use qrn_fleet::event::FleetEvent;
 use qrn_fleet::ingest::{fold_states, ingest_str, FleetState};
-use qrn_store::{Store, StoreConfig, StoreReader};
+use qrn_store::{AppendReceipt, Store, StoreConfig, StoreReader};
 use qrn_units::{Hours, Speed};
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -81,15 +81,133 @@ fn render_lines(
     lines
 }
 
+/// The snapshot cadence of one store, modelled from its receipts.
+///
+/// `count` is the writer's running count of events since its newest
+/// snapshot; `on_disk` is the count a reopen derives. Both restart at a
+/// cadence snapshot. A compaction snapshot restarts only `on_disk`: the
+/// writer keeps counting towards its next cadence snapshot, while a
+/// reopen folds from the compaction snapshot and cannot see the events
+/// the compaction folded away.
+#[derive(Debug, Clone, Copy)]
+struct Cadence {
+    every: u64,
+    count: u64,
+    on_disk: u64,
+}
+
+impl Cadence {
+    fn new(every: u64) -> Cadence {
+        Cadence {
+            every,
+            count: 0,
+            on_disk: 0,
+        }
+    }
+
+    /// Appends `text` at `ts`, checks the receipt's snapshot decision
+    /// against the model, and advances the model.
+    fn append(&mut self, store: &mut Store, text: &str, ts: u64) -> AppendReceipt {
+        let compactions = store.status().compactions;
+        let receipt = store.append_batch(text, ts).unwrap();
+        let events = receipt.segment.events();
+        prop_assert_eq!(
+            receipt.snapshot_written,
+            self.every > 0 && self.count + events >= self.every,
+            "{} events since the newest snapshot, {} more, cadence {}",
+            self.count,
+            events,
+            self.every
+        );
+        if receipt.snapshot_written {
+            self.count = 0;
+            self.on_disk = 0;
+        } else {
+            self.count += events;
+            self.on_disk += events;
+        }
+        if store.status().compactions > compactions {
+            self.on_disk = 0;
+        }
+        receipt
+    }
+
+    /// The model after the store is closed and reopened.
+    fn reopened(self) -> Cadence {
+        Cadence {
+            count: self.on_disk,
+            ..self
+        }
+    }
+}
+
+/// Reopens the store at `dir` and checks it against `twin`, a store fed
+/// the same batches that never closed: the same state, cursors and
+/// screening tallies, the same state as a sequential replay of every
+/// record, and — unless a compaction snapshot is the newest snapshot on
+/// disk — the same snapshot decision on the next append, `probe`.
+fn reopen_and_probe(
+    dir: &std::path::Path,
+    config: StoreConfig,
+    cadence: &mut Cadence,
+    twin: &mut Store,
+    twin_cadence: &mut Cadence,
+    probe: &str,
+    ts: u64,
+) -> Store {
+    let classification = paper_classification().unwrap();
+    let mut store = Store::open(dir, classification.clone(), config).unwrap();
+    prop_assert_eq!(json(store.state()), json(twin.state()));
+    prop_assert_eq!(store.cursors(), twin.cursors());
+    let (reopened, live) = (store.status(), twin.status());
+    prop_assert_eq!(
+        (
+            reopened.duplicates,
+            reopened.gap_events,
+            reopened.missing_seqs
+        ),
+        (live.duplicates, live.gap_events, live.missing_seqs)
+    );
+    prop_assert_eq!(reopened.last_ts, live.last_ts);
+    let sequential = StoreReader::open(dir, classification, 2)
+        .unwrap()
+        .replay_sequential()
+        .unwrap();
+    prop_assert_eq!(json(store.state()), json(&sequential.state));
+    prop_assert_eq!(store.cursors(), &sequential.cursors);
+
+    *cadence = cadence.reopened();
+    let resumes_exactly = cadence.count == twin_cadence.count;
+    let receipt = cadence.append(&mut store, probe, ts);
+    let twin_receipt = twin_cadence.append(twin, probe, ts);
+    if resumes_exactly {
+        prop_assert_eq!(receipt.snapshot_written, twin_receipt.snapshot_written);
+    }
+    prop_assert_eq!(json(store.state()), json(twin.state()));
+    store
+}
+
+/// A probe batch of `events` unsequenced exposure lines.
+fn probe_batch(events: usize) -> String {
+    let line = FleetEvent::Exposure {
+        vehicle: "P".into(),
+        hours: Hours::new(0.5).unwrap(),
+    }
+    .to_line();
+    format!("{line}\n").repeat(events)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn snapshot_tail_compaction_and_time_travel_are_byte_identical(
         events in proptest::collection::vec((0usize..4, 1u32..40), 4..100),
-        cut_permilles in proptest::collection::vec(1usize..1000, 0..5),
+        cut_permilles in proptest::collection::vec(1usize..1000, 0..24),
         snapshot_every in prop_oneof![Just(0u64), Just(1u64), Just(3u64), Just(7u64)],
         roll_bytes in prop_oneof![Just(1u64), Just(900u64), Just(8u64 * 1024 * 1024)],
+        compact_after in prop_oneof![Just(0u64), Just(1u64), Just(2u64), Just(3u64)],
+        probe_events in (1usize..9, 1usize..9),
         incident_stride in 3usize..9,
         dup_stride in 4usize..11,
         gap_stride in 5usize..13,
@@ -118,16 +236,21 @@ proptest! {
         let config = StoreConfig {
             snapshot_every_events: snapshot_every,
             roll_bytes,
-            compact_after_segments: 0,
+            compact_after_segments: compact_after,
             parse_shards: 2,
         };
-        let dir = temp_dir();
+        // `twin` takes every batch `store` takes but is never closed.
+        let (dir, twin_dir) = (temp_dir(), temp_dir());
         let mut store = Store::open(&dir, classification.clone(), config).unwrap();
+        let mut twin = Store::open(&twin_dir, classification.clone(), config).unwrap();
+        let mut cadence = Cadence::new(snapshot_every);
+        let mut twin_cadence = Cadence::new(snapshot_every);
         let mut receipts = Vec::new();
         let mut timestamps = Vec::new();
         for (b, batch) in batches.iter().enumerate() {
             let ts = (b as u64 + 1) * 1_000;
-            receipts.push(store.append_batch(batch, ts).unwrap());
+            receipts.push(cadence.append(&mut store, batch, ts));
+            twin_cadence.append(&mut twin, batch, ts);
             timestamps.push(ts);
         }
         let live = json(store.state());
@@ -149,45 +272,78 @@ proptest! {
         prop_assert_eq!(&fast.cursors, &live_cursors);
         prop_assert_eq!(&full.cursors, &live_cursors);
 
-        // Reopen ≡ live: restart recovery replays to the same bytes.
-        drop(store);
-        let mut store = Store::open(&dir, classification.clone(), config).unwrap();
-        prop_assert_eq!(&json(store.state()), &live);
-        prop_assert_eq!(store.cursors(), &live_cursors);
-
         // Time travel: as_of each batch timestamp ≡ the batch-wise fold
-        // of the receipts up to it.
+        // of the receipts up to it. A cut older than an automatic
+        // compaction finds no record left to fold: the compaction
+        // snapshot replaced those batches.
+        let compacted = store.status().compactions > 0;
         for (k, ts) in timestamps.iter().enumerate() {
             let at = reader.fold_as_of(Some(*ts)).unwrap();
+            if at.records == 0 {
+                prop_assert!(compacted, "as_of {} folded no record", ts);
+                continue;
+            }
             let expected = fold_states(receipts[..=k].iter().map(|r| r.segment.clone()));
             prop_assert_eq!(&json(&at.state), &json(&expected));
         }
         // …and the accepted-log prefix one-shot ingests to the same
         // bytes (hours are dyadic, so grouping cannot round).
-        let mid_ts = timestamps[timestamps.len() / 2];
-        let dump = reader.dump_log(Some(mid_ts)).unwrap();
-        let offline = ingest_str(&dump, &classification, 1).unwrap();
-        let at = reader.fold_as_of(Some(mid_ts)).unwrap();
-        prop_assert_eq!(&json(&offline), &json(&at.state));
+        if !compacted {
+            let mid_ts = timestamps[timestamps.len() / 2];
+            let dump = reader.dump_log(Some(mid_ts)).unwrap();
+            let offline = ingest_str(&dump, &classification, 1).unwrap();
+            let at = reader.fold_as_of(Some(mid_ts)).unwrap();
+            prop_assert_eq!(&json(&offline), &json(&at.state));
+        }
 
         // The store verifies: every stored snapshot matches independent
         // replay.
         let report = reader.verify().unwrap();
         prop_assert!(report.ok(), "{:?}", report.mismatches);
 
+        // Reopen ≡ the store that never closed, and the next append's
+        // snapshot decision resumes the cadence.
+        drop(store);
+        let mut ts = timestamps.last().copied().unwrap_or(0);
+        ts += 1_000;
+        let mut store = reopen_and_probe(
+            &dir,
+            config,
+            &mut cadence,
+            &mut twin,
+            &mut twin_cadence,
+            &probe_batch(probe_events.0),
+            ts,
+        );
+        let live = json(twin.state());
+        let live_cursors = twin.cursors().clone();
+
         // Compaction changes no queryable byte.
-        store.compact().unwrap();
+        if store.compact().unwrap() {
+            cadence.on_disk = 0;
+        }
         let fast = reader.fold_as_of(None).unwrap();
         prop_assert_eq!(&json(&fast.state), &live);
+        prop_assert_eq!(&fast.cursors, &live_cursors);
         let full = reader.replay_sequential().unwrap();
         prop_assert_eq!(&json(&full.state), &live);
+        prop_assert_eq!(&full.cursors, &live_cursors);
         drop(store);
-        let store = Store::open(&dir, classification.clone(), config).unwrap();
-        prop_assert_eq!(&json(store.state()), &live);
-        prop_assert_eq!(store.cursors(), &live_cursors);
+        ts += 1_000;
+        let store = reopen_and_probe(
+            &dir,
+            config,
+            &mut cadence,
+            &mut twin,
+            &mut twin_cadence,
+            &probe_batch(probe_events.1),
+            ts,
+        );
         let report = reader.verify().unwrap();
         prop_assert!(report.ok(), "{:?}", report.mismatches);
 
+        drop((store, twin));
         std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&twin_dir).ok();
     }
 }
