@@ -20,12 +20,11 @@ use qrn_core::incident::IncidentRecord;
 use qrn_core::norm::QuantitativeRiskNorm;
 use qrn_core::object::{Involvement, ObjectType};
 use qrn_core::IncidentClassification;
-use qrn_fleet::burndown::{
-    burn_down_evidence_filtered, burn_down_filtered, BurnDownConfig, ContextFilter,
-};
+use qrn_fleet::burndown::{BurnDownConfig, ContextFilter};
 use qrn_fleet::ingest::{ingest_str, FleetState};
 use qrn_fleet::looks::LookBook;
 use qrn_fleet::telemetry::{FaultPlan, Policy, Scenario, TelemetryConfig};
+use qrn_serve::LedgerSnapshot;
 use qrn_sim::monte_carlo::Campaign;
 use qrn_sim::policy::{CautiousPolicy, ReactivePolicy, TacticalPolicy};
 use qrn_sim::scenario::{
@@ -394,51 +393,29 @@ fn report(
 
     // Design-time campaign ledgers (`--evidence <ledger.json>`, possibly
     // weighted and zone-refined) merge with the operational fleet
-    // evidence into one combined burn-down.
+    // evidence into one combined burn-down — the report the server's
+    // `?as_of=` replay computes from the same snapshot.
+    let mut snapshot = LedgerSnapshot::from(state);
     let evidence_paths = flag_values(rest, "--evidence");
-    let mut report = if evidence_paths.is_empty() {
-        burn_down_filtered(&norm, &allocation, &state, &config, &filter)?
-    } else {
-        let mut combined = state.evidence().clone();
-        for path in &evidence_paths {
-            let ledger: EvidenceLedger = read_artefact(Path::new(path))?;
-            combined.merge(&ledger);
-        }
+    for path in &evidence_paths {
+        let ledger: EvidenceLedger = read_artefact(Path::new(path))?;
+        snapshot.evidence.merge(&ledger);
+    }
+    if !evidence_paths.is_empty() {
         println!(
             "merged {} campaign evidence ledger(s) with the fleet log",
             evidence_paths.len()
         );
-        let mut report =
-            burn_down_evidence_filtered(&norm, &allocation, &combined, &config, &filter)?;
-        report.vehicles = state.vehicle_count();
-        report.events = state.events();
-        report.skipped = state.skipped();
-        report
-    };
+    }
+    let mut report = snapshot.report(&norm, &allocation, &config, &filter)?;
     // Look accounting aligned with `qrn serve`: with `--checkpoint`, this
-    // report is one more look in a persistent sequence — resume the
-    // `<checkpoint>.looks.json` sidecar, spend a look per goal, record
-    // alert edges and persist. Without it, a one-shot report stays its
-    // own first look (`looks: 1`). See DESIGN §10.
+    // report is one more look in a persistent sequence, kept in the
+    // `<checkpoint>.looks.json` sidecar. Without it, a one-shot report
+    // stays its own first look (`looks: 1`). See DESIGN §10.
     if let Some(ckpt) = flag(rest, "--checkpoint") {
         let sidecar = LookBook::sidecar_path(Path::new(ckpt));
         let mut book = LookBook::load_if_exists(&sidecar)?.unwrap_or_default();
-        for (incident, _) in allocation.budgets() {
-            book.spend_look(incident.as_str());
-        }
-        let now = unix_millis_now();
-        for goal in &report.goals {
-            book.observe_alert(goal.incident.as_str(), goal.alert, now);
-        }
-        let stamp = |goals: &mut Vec<qrn_fleet::burndown::GoalBurnDown>| {
-            for goal in goals {
-                goal.looks = book.looks(goal.incident.as_str()).max(1);
-            }
-        };
-        stamp(&mut report.goals);
-        for zone in &mut report.zones {
-            stamp(&mut zone.goals);
-        }
+        book.look(&mut report, unix_millis_now());
         book.save(&sidecar)?;
         println!("look accounting resumed from {}", sidecar.display());
     }

@@ -251,8 +251,7 @@ COMMANDS:
           [--item <name>=<norm.json>,<classification.json>,<allocation.json>]...
           [--bind <addr>] [--port <P>] [--workers <N>] [--queue-depth <N>]
           [--max-body-bytes <B>] [--io-timeout-secs <S>] [--shards <N>]
-          [--state-shards <N>] [--checkpoint <state.json>]
-          [--checkpoint-every <N>] [--store <DIR>]
+          [--state-shards <N>] [--checkpoint <state.json>] [--store <DIR>]
           [--store-snapshot-every <EVENTS>] [--store-roll-bytes <B>]
           [--store-compact-after <SEGMENTS>]
           [--store-group-commit <BATCHES>]
@@ -276,12 +275,14 @@ COMMANDS:
         don't serialise; queries and checkpoints fold the shards
         deterministically, keeping every checkpoint byte-identical to
         `fleet ingest` of the same segments offline. With --checkpoint
-        the state is resumed at start and atomically checkpointed every
-        --checkpoint-every segments (default 1). With --store every
+        the state and its SPRT look counts (<state.json>.looks.json)
+        are resumed at start and atomically checkpointed after every
+        segment. With --store every
         accepted segment is first appended — durably, screened for
         duplicate and missing sequence numbers — to a per-item
         append-only log under <DIR>; the live state is recovered from
-        the store on restart and GET /v1/[<item>/]burndown?as_of=<millis>
+        the store on restart, --checkpoint then keeps only the look
+        counts, and GET /v1/[<item>/]burndown?as_of=<millis>
         (a historical replay that spends no SPRT look) and GET
         /v1/[<item>/]history come alive. Concurrent ingests are
         group-committed: up to --store-group-commit queued batches
@@ -289,7 +290,8 @@ COMMANDS:
         before the fsync covering its batch. --bind accepts a
         non-loopback
         address but warns loudly: the server is plaintext HTTP without
-        authentication. A full request queue answers 429.
+        authentication. A full request queue answers 429. An unknown
+        flag is an error naming it.
 
 EXIT CODES:
     0 success / compliant    1 check failed    2 usage or artefact error

@@ -24,6 +24,7 @@ use std::time::Duration;
 use qrn_core::allocation::Allocation;
 use qrn_core::norm::QuantitativeRiskNorm;
 use qrn_core::IncidentClassification;
+use qrn_fleet::looks::LookBook;
 use qrn_serve::{ServeConfig, Server};
 use qrn_stats::evidence::EvidenceLedger;
 
@@ -36,18 +37,65 @@ fn parse_num<T: std::str::FromStr>(text: &str, what: &str) -> Result<T, CliError
         .map_err(|_| CliError(format!("{what} must be a number, got {text:?}")))
 }
 
+/// Every `qrn serve` flag, and whether it takes a value. Anything else on
+/// the command line is an error naming it, so a typo such as `--stor`
+/// cannot start a server without the durability it asked for.
+const FLAGS: [(&str, bool); 24] = [
+    ("--item", true),
+    ("--bind", true),
+    ("--port", true),
+    ("--workers", true),
+    ("--queue-depth", true),
+    ("--max-body-bytes", true),
+    ("--io-timeout-secs", true),
+    ("--shards", true),
+    ("--state-shards", true),
+    ("--checkpoint", true),
+    ("--store", true),
+    ("--store-snapshot-every", true),
+    ("--store-roll-bytes", true),
+    ("--store-compact-after", true),
+    ("--store-group-commit", true),
+    ("--evidence", true),
+    ("--confidence", true),
+    ("--alpha", true),
+    ("--beta", true),
+    ("--sprt-fraction", true),
+    ("--watch-ratio", true),
+    ("--by-context", false),
+    ("--by-zone", false),
+    ("--sequential", false),
+];
+
+/// Checks `rest` against [`FLAGS`]: every argument is a known flag, and
+/// every valued flag has its value.
+fn check_flags(rest: &[&str]) -> Result<(), CliError> {
+    let mut args = rest.iter();
+    while let Some(arg) = args.next() {
+        match FLAGS.iter().find(|(name, _)| name == arg) {
+            Some((_, true)) if args.next().is_none() => {
+                return Err(CliError(format!("serve flag {arg} needs a value")))
+            }
+            Some(_) => {}
+            None => return Err(CliError(format!("unknown serve flag {arg:?}"))),
+        }
+    }
+    Ok(())
+}
+
 /// Runs `serve <norm> <classification> <allocation> [flags]`.
 ///
 /// # Errors
 ///
-/// Returns [`CliError`] for malformed flags, unreadable artefacts, an
-/// unbindable port or a corrupt checkpoint.
+/// Returns [`CliError`] for unknown or malformed flags, unreadable
+/// artefacts, an unbindable port or a corrupt checkpoint.
 pub fn run(
     norm_path: &Path,
     classification_path: &Path,
     allocation_path: &Path,
     rest: &[&str],
 ) -> Result<CommandOutcome, CliError> {
+    check_flags(rest)?;
     let norm: QuantitativeRiskNorm = read_artefact(norm_path)?;
     let classification: IncidentClassification = read_artefact(classification_path)?;
     let allocation: Allocation = read_artefact(allocation_path)?;
@@ -100,9 +148,6 @@ pub fn run(
     if let Some(text) = flag(rest, "--checkpoint") {
         config.checkpoint = Some(PathBuf::from(text));
     }
-    if let Some(text) = flag(rest, "--checkpoint-every") {
-        config.checkpoint_every = parse_num(text, "--checkpoint-every")?;
-    }
     if let Some(text) = flag(rest, "--store") {
         config.store = Some(PathBuf::from(text));
     }
@@ -143,7 +188,11 @@ pub fn run(
     // `qrn_goal_e_value` / `qrn_goal_seq_upper` metric families.
     config.burndown.sequential = has_flag(rest, "--sequential");
 
-    let checkpoint = config.checkpoint.clone();
+    // With a store, the checkpoint path keeps only the look sidecar.
+    let checkpoint = config.checkpoint.as_ref().map(|path| match config.store {
+        Some(_) => LookBook::sidecar_path(path),
+        None => path.clone(),
+    });
     let store = config.store.clone();
     let item_names: Vec<String> = config.items.iter().map(|item| item.name.clone()).collect();
     let state_shards = config.state_shards;

@@ -123,3 +123,33 @@ fn missing_artefact_exits_two() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));
 }
+
+#[test]
+fn serve_rejects_unknown_flags_naming_them() {
+    let dir = temp_dir("serve-flags");
+    let dir_s = dir.to_str().unwrap();
+    assert!(qrn(&["example", "emit", "--dir", dir_s]).status.success());
+    let norm = dir.join("norm.json");
+    let classification = dir.join("classification.json");
+    let allocation = dir.join("allocation.json");
+    // A typo'd durability flag and a removed flag both fail before the
+    // server starts, instead of serving without what was asked for.
+    for flag in ["--stor", "--checkpoint-every"] {
+        let out = qrn(&[
+            "serve",
+            norm.to_str().unwrap(),
+            classification.to_str().unwrap(),
+            allocation.to_str().unwrap(),
+            "--port",
+            "0",
+            flag,
+            "1",
+        ]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown serve flag \"{flag}\"")),
+            "{stderr}"
+        );
+    }
+}

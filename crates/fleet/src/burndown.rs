@@ -331,8 +331,8 @@ pub struct GoalBurnDown {
     /// How many times this goal's SPRT has been consulted against this
     /// (growing) evidence stream, **including this report**. A one-shot
     /// offline report is its own first look, so [`burn_down`] and
-    /// [`burn_down_evidence`] always report `1`; the `qrn-serve` live
-    /// server and `fleet report --checkpoint` stamp their persisted
+    /// [`burn_down_evidence_filtered`] always report `1`; the `qrn-serve`
+    /// live server and `fleet report --checkpoint` stamp their persisted
     /// per-goal look counters instead. Wald's SPRT is sequentially valid
     /// — its error guarantees survive continuous monitoring — but the
     /// exact Poisson bounds are snapshot statistics: consulting them
@@ -726,6 +726,12 @@ fn goal_rows(
 /// counts are monitored via their Kish effective statistics while
 /// unit-weight evidence reproduces the exact integer-count analysis.
 ///
+/// The [`ContextFilter`] restricts which named contexts get refinement
+/// rows (when [`BurnDownConfig::by_zone`] is set); pass
+/// [`ContextFilter::all`] for every row. The filter only selects rows —
+/// the global goal and class verdicts always cover the whole ledger, so
+/// filtering can never hide a burned budget.
+///
 /// Fleet-operational metadata (vehicles, events, skip tallies) is zeroed
 /// here; [`burn_down`] fills it from a [`FleetState`].
 ///
@@ -734,24 +740,6 @@ fn goal_rows(
 /// Returns [`FleetError`] for an invalid configuration, a zero budget in
 /// the allocation (a zero budget cannot parametrise the SPRT), or a share
 /// matrix referencing classes outside the norm.
-pub fn burn_down_evidence(
-    norm: &QuantitativeRiskNorm,
-    allocation: &Allocation,
-    evidence: &EvidenceLedger,
-    config: &BurnDownConfig,
-) -> Result<FleetReport, FleetError> {
-    burn_down_evidence_filtered(norm, allocation, evidence, config, &ContextFilter::all())
-}
-
-/// [`burn_down_evidence`] with a [`ContextFilter`] restricting which
-/// named contexts get refinement rows (when [`BurnDownConfig::by_zone`]
-/// is set). The filter only selects rows — the global goal and class
-/// verdicts always cover the whole ledger, so filtering can never hide a
-/// burned budget.
-///
-/// # Errors
-///
-/// As [`burn_down_evidence`].
 pub fn burn_down_evidence_filtered(
     norm: &QuantitativeRiskNorm,
     allocation: &Allocation,
@@ -1036,8 +1024,14 @@ mod tests {
         let state = ingest_str(&vru_crash_log(5000.0, 3), &classification, 2).unwrap();
         let config = BurnDownConfig::default();
         let from_state = burn_down(&norm, &allocation, &state, &config).unwrap();
-        let from_ledger =
-            burn_down_evidence(&norm, &allocation, state.evidence(), &config).unwrap();
+        let from_ledger = burn_down_evidence_filtered(
+            &norm,
+            &allocation,
+            state.evidence(),
+            &config,
+            &ContextFilter::all(),
+        )
+        .unwrap();
         assert_eq!(from_state.goals, from_ledger.goals);
         assert_eq!(from_state.classes, from_ledger.classes);
         assert_eq!(from_state.exposure_hours, from_ledger.exposure_hours);
@@ -1064,7 +1058,14 @@ mod tests {
         let classification = paper_classification().unwrap();
         let allocation = paper_allocation(&classification).unwrap();
         let config = BurnDownConfig::default();
-        let report = burn_down_evidence(&norm, &allocation, &weighted_ledger(), &config).unwrap();
+        let report = burn_down_evidence_filtered(
+            &norm,
+            &allocation,
+            &weighted_ledger(),
+            &config,
+            &ContextFilter::all(),
+        )
+        .unwrap();
 
         let i3 = report.goal(&"I3".into()).unwrap();
         let w = i3
@@ -1120,7 +1121,14 @@ mod tests {
             by_zone: true,
             ..BurnDownConfig::default()
         };
-        let report = burn_down_evidence(&norm, &allocation, &weighted_ledger(), &config).unwrap();
+        let report = burn_down_evidence_filtered(
+            &norm,
+            &allocation,
+            &weighted_ledger(),
+            &config,
+            &ContextFilter::all(),
+        )
+        .unwrap();
         assert_eq!(report.zones.len(), 1);
         let zone = &report.zones[0];
         assert_eq!(zone.zone, "urban");
@@ -1158,7 +1166,14 @@ mod tests {
             by_zone: true,
             ..BurnDownConfig::default()
         };
-        let report = burn_down_evidence(&norm, &allocation, &combined, &config).unwrap();
+        let report = burn_down_evidence_filtered(
+            &norm,
+            &allocation,
+            &combined,
+            &config,
+            &ContextFilter::all(),
+        )
+        .unwrap();
         assert!((report.exposure_hours - 1.2e6).abs() < 1e-3);
         let i3 = report.goal(&"I3".into()).unwrap();
         // 1 fleet crash (weight 1) + 16 campaign observations (0.125 each).
@@ -1236,7 +1251,14 @@ mod tests {
                 sequential,
                 ..BurnDownConfig::default()
             };
-            let all = burn_down_evidence(&norm, &allocation, &ledger, &config).unwrap();
+            let all = burn_down_evidence_filtered(
+                &norm,
+                &allocation,
+                &ledger,
+                &config,
+                &ContextFilter::all(),
+            )
+            .unwrap();
             for row in &all.zones {
                 let one = burn_down_evidence_filtered(
                     &norm,
@@ -1272,7 +1294,14 @@ mod tests {
             ..BurnDownConfig::default()
         };
         let ledger = banded_ledger();
-        let all = burn_down_evidence(&norm, &allocation, &ledger, &config).unwrap();
+        let all = burn_down_evidence_filtered(
+            &norm,
+            &allocation,
+            &ledger,
+            &config,
+            &ContextFilter::all(),
+        )
+        .unwrap();
         assert_eq!(all.zones.len(), 3);
         let fog = burn_down_evidence_filtered(
             &norm,
@@ -1404,7 +1433,14 @@ mod tests {
             sequential: true,
             ..BurnDownConfig::default()
         };
-        let report = burn_down_evidence(&norm, &allocation, &weighted_ledger(), &config).unwrap();
+        let report = burn_down_evidence_filtered(
+            &norm,
+            &allocation,
+            &weighted_ledger(),
+            &config,
+            &ContextFilter::all(),
+        )
+        .unwrap();
         let i3 = report.goal(&"I3".into()).unwrap();
         let w = i3.weighted.as_ref().unwrap();
         let (k_eff, t_eff) = w.effective();

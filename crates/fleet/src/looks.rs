@@ -36,7 +36,7 @@ use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
-use crate::burndown::AlertLevel;
+use crate::burndown::{AlertLevel, FleetReport};
 use crate::checkpoint;
 use crate::error::FleetError;
 
@@ -207,6 +207,23 @@ impl LookBook {
         }
     }
 
+    /// Takes one look at `report`: spends a look at every global goal
+    /// row, records the alert edges those rows show at
+    /// `now_unix_millis`, and stamps the new look counts into the goal
+    /// rows and every context row. Context rows are refinements, not
+    /// verdicts, so their alert levels are never recorded.
+    pub fn look(&mut self, report: &mut FleetReport, now_unix_millis: u64) {
+        for goal in &mut report.goals {
+            goal.looks = self.spend_look(goal.incident.as_str());
+            self.observe_alert(goal.incident.as_str(), goal.alert, now_unix_millis);
+        }
+        for row in &mut report.zones {
+            for goal in &mut row.goals {
+                goal.looks = self.looks(goal.incident.as_str());
+            }
+        }
+    }
+
     /// Completed looks at `goal` (zero when never looked at).
     pub fn looks(&self, goal: &str) -> u64 {
         self.goals.get(goal).map_or(0, |g| g.looks)
@@ -308,6 +325,56 @@ mod tests {
         assert!(json.contains("transitions"), "{json}");
         let back: LookBook = serde_json::from_str(&json).unwrap();
         assert_eq!(back.goal("I2").unwrap().transitions.len(), 2);
+    }
+
+    #[test]
+    fn a_look_spends_stamps_and_records_global_edges_only() {
+        use crate::burndown::{burn_down_evidence_filtered, BurnDownConfig, ContextFilter};
+        use qrn_core::examples::{paper_allocation, paper_classification, paper_norm};
+        use qrn_stats::evidence::EvidenceLedger;
+
+        let norm = paper_norm().unwrap();
+        let allocation = paper_allocation(&paper_classification().unwrap()).unwrap();
+        let mut ledger = EvidenceLedger::new();
+        ledger.add_exposure(None, 8.0);
+        ledger.add_exposure(Some("urban"), 8.0);
+        for _ in 0..40 {
+            ledger.add_incident(None, "I3", 1.0);
+            ledger.add_incident(Some("urban"), "I3", 1.0);
+            // Only the context row sees I2: a refinement, never a verdict.
+            ledger.add_incident(Some("urban"), "I2", 1.0);
+        }
+        let config = BurnDownConfig {
+            by_zone: true,
+            ..BurnDownConfig::default()
+        };
+        let report = || {
+            burn_down_evidence_filtered(&norm, &allocation, &ledger, &config, &ContextFilter::all())
+                .unwrap()
+        };
+        let mut book = LookBook::new();
+        for now in [1, 2] {
+            let mut looked = report();
+            book.look(&mut looked, now);
+            assert!(looked.goals.iter().all(|g| g.looks == now));
+            assert!(looked.zones[0].goals.iter().all(|g| g.looks == now));
+        }
+        let global = report();
+        let i3 = global.goal(&"I3".into()).unwrap().alert;
+        assert_ne!(i3, AlertLevel::Ok);
+        assert_eq!(
+            book.goal("I3").unwrap().transitions,
+            vec![AlertTransition {
+                at_unix_millis: 1,
+                to: i3
+            }]
+        );
+        let urban_i2 = global.zones[0]
+            .goals
+            .iter()
+            .find(|g| g.incident.as_str() == "I2");
+        assert_ne!(urban_i2.unwrap().alert, AlertLevel::Ok);
+        assert!(book.goal("I2").unwrap().transitions.is_empty());
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //! * `GET /healthz` — liveness.
 //! * `POST /v1/shutdown` — graceful drain (the SIGTERM-equivalent a
 //!   std-only binary can actually receive): in-flight requests finish,
-//!   then a final crash-safe checkpoint is written per item.
+//!   then a final crash-safe checkpoint is written per item (with an
+//!   evidence store, only its look sidecar: the store already holds
+//!   every acknowledged segment).
 //!
 //! One server can host several *items* — named norm/classification/
 //! allocation triples, each with its own sharded live state, look
@@ -50,7 +52,7 @@
 //! ledger shards, so concurrent uploads don't serialise on a global
 //! state mutex, while the vehicle roster is held once in a striped
 //! registry. Queries and scrapes merge only the shard ledgers;
-//! checkpoints also assemble the roster. Both use the exact dyadic merge
+//! store-less checkpoints also assemble the roster. Both use the exact dyadic merge
 //! `ingest_str` uses, keeping every artefact byte-identical to offline
 //! ingest. State
 //! checkpoints reuse `qrn-fleet`'s atomic write-to-temp + fsync + rename

@@ -1,5 +1,5 @@
 //! The server proper: bounded accept queue, worker pool, routing, the
-//! sharded live state, look accounting and crash-safe checkpointing.
+//! sharded live state, look accounting and durability.
 //!
 //! # Threading model
 //!
@@ -21,26 +21,34 @@
 //! lock (the expensive part) and handed to one shard, so concurrent
 //! uploads only contend when every shard is busy. Burn-down queries and
 //! metrics scrapes read a ledger-only snapshot, whose cost is flat in
-//! fleet size; checkpoints fold the shards and the roster. Both merge
-//! the shards in ascending index order with the exact dyadic merge
-//! `ingest_str` uses for its block partials, so every checkpoint and
-//! burn-down artefact stays byte-identical to an offline
+//! fleet size; store-less checkpoints fold the shards and the roster.
+//! Both merge the shards in ascending index order with the exact dyadic
+//! merge `ingest_str` uses for its block partials, so every checkpoint
+//! and burn-down artefact stays byte-identical to an offline
 //! `qrn fleet ingest` of the same segments (see [`crate::state`] for the
 //! argument and the property test).
 //!
-//! With an evidence store configured, ingest instead funnels through the
-//! store's single writer thread, whose append hook merges each segment
-//! into the live state *in append order* before the upload is
-//! acknowledged — so the live state agrees byte for byte with a store
-//! replay even under concurrent uploads of arbitrary (non-dyadic) float
-//! payloads.
+//! # Durability
+//!
+//! Each serve mode has one evidence durability path. Without a store,
+//! it is the checkpoint: after every ingested segment and at drain, the
+//! folded state is atomically rewritten and resumed at start. With an
+//! evidence store configured, it is the store: ingest funnels through
+//! the store's single writer thread, which appends and fsyncs each
+//! segment and whose append hook merges it into the live state *in
+//! append order* before the upload is acknowledged — so the live state
+//! agrees byte for byte with a store replay even under concurrent
+//! uploads of arbitrary (non-dyadic) float payloads. The state is
+//! recovered from the store at start, and a configured checkpoint path
+//! then holds only the look sidecar: the state file is neither written
+//! nor read.
 //!
 //! # Multi-item serving
 //!
 //! One server can host several items: `/v1/<item>/ingest` and
 //! `/v1/<item>/burndown` address them by name, the bare `/v1/ingest` and
 //! `/v1/burndown` routes alias the item named [`DEFAULT_ITEM`], metrics
-//! carry an `item` label, and each item checkpoints to its own file
+//! carry an `item` label, and each item checkpoints to its own path
 //! (the default item on the bare configured path — name-compatible with
 //! a single-item deployment — and every other item on
 //! [`checkpoint::item_checkpoint_path`]).
@@ -52,10 +60,12 @@
 //! them into served reports
 //! ([`GoalBurnDown::looks`](qrn_fleet::burndown::GoalBurnDown)), and
 //! persists them in a sidecar next to the item's checkpoint
-//! (`<checkpoint>.looks.json`) so the count survives restarts. The
-//! sidecar is deliberately *not* part of the [`FleetState`] checkpoint:
-//! the main checkpoint must stay byte-identical to offline ingest, which
-//! never consults the test.
+//! (`<checkpoint>.looks.json`) so the count survives restarts. A look is
+//! spent only for a report that was computed. The sidecar is
+//! deliberately *not* part of the [`FleetState`] checkpoint or the
+//! store: the evidence must stay byte-identical to offline ingest, which
+//! never consults the test, and a store record per look would put an
+//! fsync on every live read.
 
 use std::collections::VecDeque;
 use std::io::Read;
@@ -165,21 +175,20 @@ pub struct ServeConfig {
     /// ingest handoff distributes over, merged deterministically for
     /// queries and checkpoints.
     pub state_shards: usize,
-    /// Base checkpoint file; each item's state is resumed from its
-    /// per-item path at start and atomically rewritten during operation
-    /// and at shutdown.
+    /// Base checkpoint path. Each item's checkpoint is atomically
+    /// rewritten after every ingested segment and at shutdown, and
+    /// resumed at start. Without a store it holds the item's state and
+    /// its look sidecar (`<path>.looks.json`); with a store, only the
+    /// sidecar, because the store is then the state's one durability
+    /// path.
     pub checkpoint: Option<PathBuf>,
-    /// Write a checkpoint every this many ingested segments (≥ 1),
-    /// per item.
-    pub checkpoint_every: u64,
     /// Burn-down analysis parameters for burn-down and metrics queries.
     pub burndown: BurnDownConfig,
     /// Evidence-store base directory. When set, every ingested segment
     /// is first appended — durably, with per-source sequence screening —
     /// to `<store>/<item>`'s append-only log, the live state is recovered
-    /// from the store on restart (the store has fsynced every accepted
-    /// batch, so it supersedes the periodic checkpoint), and the
-    /// `?as_of=` and `/history` routes come alive.
+    /// from the store on restart, and the `?as_of=` and `/history`
+    /// routes come alive.
     pub store: Option<PathBuf>,
     /// Store snapshot cadence: write a snapshot record after this many
     /// ingested events (0 = only at compaction).
@@ -199,8 +208,8 @@ pub struct ServeConfig {
 impl ServeConfig {
     /// A configuration serving one item named [`DEFAULT_ITEM`], with
     /// production-shaped defaults: loopback bind, port 7878, 4 workers,
-    /// queue depth 64, 4 MiB body cap, 10 s socket timeouts, checkpoint
-    /// after every segment, one state shard per available core.
+    /// queue depth 64, 4 MiB body cap, 10 s socket timeouts, one state
+    /// shard per available core.
     pub fn new(
         norm: QuantitativeRiskNorm,
         classification: IncidentClassification,
@@ -226,7 +235,6 @@ impl ServeConfig {
             shards: parallelism,
             state_shards: parallelism,
             checkpoint: None,
-            checkpoint_every: 1,
             burndown: BurnDownConfig::default(),
             store: None,
             store_snapshot_every: StoreConfig::default().snapshot_every_events,
@@ -272,11 +280,6 @@ impl ServeConfig {
         }
         if self.max_body_bytes == 0 {
             return Err(ServeError::Config("max body size must be positive".into()));
-        }
-        if self.checkpoint_every == 0 {
-            return Err(ServeError::Config(
-                "checkpoint interval must be at least 1 segment".into(),
-            ));
         }
         if self.shards == 0 {
             return Err(ServeError::Config("shards must be at least 1".into()));
@@ -389,13 +392,11 @@ struct Item {
     /// Per-goal look ledger: completed looks plus `Ok → Watch → Burned`
     /// transition timestamps, persisted in the checkpoint sidecar.
     looks: Mutex<LookBook>,
-    /// Segments ingested since the last checkpoint write.
-    segments_since_checkpoint: AtomicU64,
-    /// This item's checkpoint file (the default item keeps the bare
+    /// This item's checkpoint path (the default item keeps the bare
     /// configured base path).
     checkpoint: Option<PathBuf>,
-    /// Serialises checkpoint writes so two threshold-crossing ingests
-    /// don't interleave their write-temp/rename protocols.
+    /// Serialises checkpoint writes so two concurrent ingests don't
+    /// interleave their write-temp/rename protocols.
     checkpoint_lock: Mutex<()>,
     /// This item's evidence-store directory (`<store>/<item name>`),
     /// when a store is configured. Readers for `?as_of=` and `/history`
@@ -466,15 +467,17 @@ impl Inner {
         self.items.iter().find(|item| item.config.name == name)
     }
 
-    /// Folds the item's shards and writes its checkpoint pair (state +
-    /// look sidecar) atomically, under the item's checkpoint lock.
+    /// Writes the item's checkpoint atomically, under its checkpoint
+    /// lock: the folded state — unless the store is the item's
+    /// durability path — then the look sidecar.
     fn write_checkpoint(&self, path: &Path, item: &Item) -> Result<(), ServeError> {
         let _serialised = item
             .checkpoint_lock
             .lock()
             .expect("checkpoint mutex poisoned");
-        let snapshot = item.state.fold();
-        checkpoint::save_state(path, &snapshot)?;
+        if item.store_dir.is_none() {
+            checkpoint::save_state(path, &item.state.fold())?;
+        }
         let looks = item.looks.lock().expect("look mutex poisoned").clone();
         looks.save(&LookBook::sidecar_path(path))?;
         self.metrics.count_checkpoint();
@@ -524,26 +527,13 @@ impl Inner {
             },
         };
         self.metrics.count_segment();
-        let mut checkpointed = false;
         if let Some(path) = &item.checkpoint {
-            // The counter is advisory: two racing ingests can both cross
-            // the threshold (one extra checkpoint) or a reset can absorb
-            // a neighbour's increment (one checkpoint a few segments
-            // late). Either way the final drain checkpoint is exact.
-            let since = item
-                .segments_since_checkpoint
-                .fetch_add(1, Ordering::AcqRel)
-                + 1;
-            if since >= self.config.checkpoint_every {
-                item.segments_since_checkpoint.store(0, Ordering::Release);
-                if let Err(e) = self.write_checkpoint(path, item) {
-                    return Response::text(
-                        500,
-                        "Internal Server Error",
-                        &format!("checkpoint write failed: {e}"),
-                    );
-                }
-                checkpointed = true;
+            if let Err(e) = self.write_checkpoint(path, item) {
+                return Response::text(
+                    500,
+                    "Internal Server Error",
+                    &format!("checkpoint write failed: {e}"),
+                );
             }
         }
         let reply = IngestReply {
@@ -559,7 +549,7 @@ impl Inner {
             total_events: item.state.events(),
             total_exposure_hours: item.state.exposure_hours(),
             vehicles: item.state.vehicle_count(),
-            checkpointed,
+            checkpointed: item.checkpoint.is_some(),
         };
         Response::json(serde_json::to_string_pretty(&reply).expect("reply is serialisable"))
     }
@@ -763,15 +753,6 @@ impl Inner {
         if let Some(as_of) = query.as_of.clone() {
             return self.handle_burndown_as_of(item, &query, &as_of);
         }
-        // Spend the look, then take a consistent ledger snapshot and
-        // compute outside the look lock.
-        let looks = {
-            let mut looks = item.looks.lock().expect("look mutex poisoned");
-            for (incident, _) in item.config.allocation.budgets() {
-                looks.spend_look(incident.as_str());
-            }
-            looks.clone()
-        };
         let view = Self::evidence_view(item, item.state.snapshot());
         let mut report = match Self::compute_report(
             item,
@@ -789,25 +770,12 @@ impl Inner {
                 )
             }
         };
-        // Record the alert edges this look observed (global rows only:
-        // zone rows are refinements, not verdicts), so "when did I2
-        // enter Watch?" survives in the sidecar.
-        {
-            let now = now_millis();
-            let mut book = item.looks.lock().expect("look mutex poisoned");
-            for goal in &report.goals {
-                book.observe_alert(goal.incident.as_str(), goal.alert, now);
-            }
-        }
-        let stamp = |goals: &mut Vec<qrn_fleet::burndown::GoalBurnDown>| {
-            for goal in goals {
-                goal.looks = looks.looks(goal.incident.as_str()).max(1);
-            }
-        };
-        stamp(&mut report.goals);
-        for zone_row in &mut report.zones {
-            stamp(&mut zone_row.goals);
-        }
+        // The report is computed outside the look lock; only a computed
+        // report spends a look.
+        item.looks
+            .lock()
+            .expect("look mutex poisoned")
+            .look(&mut report, now_millis());
         Self::render_burndown(&report, query.selector.as_deref())
     }
 
@@ -1296,11 +1264,12 @@ pub struct Server;
 impl Server {
     /// Starts a server on `{config.bind}:{config.port}`.
     ///
-    /// When a checkpoint path is configured, each item's fleet state
-    /// (and its look-counter sidecar, if present) is resumed from the
-    /// item's checkpoint file; a corrupt checkpoint is a startup error,
-    /// never a silent fresh start. Binding a non-loopback address logs a
-    /// loud warning to stderr.
+    /// Each item's fleet state is recovered from its store when a store
+    /// is configured, and otherwise from its checkpoint file when a
+    /// checkpoint path is configured; the look sidecar is resumed from
+    /// the checkpoint path in either mode. A corrupt checkpoint or
+    /// sidecar is a startup error, never a silent fresh start. Binding a
+    /// non-loopback address logs a loud warning to stderr.
     ///
     /// # Errors
     ///
@@ -1328,16 +1297,12 @@ impl Server {
                 .store
                 .as_ref()
                 .map(|base| base.join(&item_config.name));
-            // Recovery precedence: the store fsyncs every accepted batch
-            // while checkpoints are periodic, so when both exist the
-            // store's replayed state is at least as new — it wins. The
-            // look sidecar stays with the checkpoint: looks are test
-            // metadata, never part of the evidence fold.
+            // One durability path per mode: a store item recovers from
+            // its store alone; a store-less item from its checkpoint.
             let (fleet, opened_store) = match (&store_dir, &path) {
                 (Some(dir), _) => {
                     let store = Store::open(dir, item_config.classification.clone(), store_config)?;
-                    let recovered = store.state().clone();
-                    (recovered, Some(store))
+                    (store.state().clone(), Some(store))
                 }
                 (None, Some(path)) => (
                     checkpoint::load_state_if_exists(path)?.unwrap_or_default(),
@@ -1376,7 +1341,6 @@ impl Server {
                 config: item_config.clone(),
                 state,
                 looks: Mutex::new(looks),
-                segments_since_checkpoint: AtomicU64::new(0),
                 checkpoint: path,
                 checkpoint_lock: Mutex::new(()),
                 store_dir,
@@ -1471,7 +1435,8 @@ impl ServerHandle {
     /// Blocks until shutdown is requested (via [`request_shutdown`] or
     /// `POST /v1/shutdown`), then drains: queued connections are served,
     /// workers joined, and — when a checkpoint is configured — a final
-    /// atomic checkpoint (state + look sidecar) written per item.
+    /// atomic checkpoint written per item (the look sidecar, plus the
+    /// state without a store).
     ///
     /// [`request_shutdown`]: ServerHandle::request_shutdown
     ///
@@ -1709,55 +1674,65 @@ mod tests {
 
     #[test]
     fn alert_transitions_survive_in_the_look_sidecar() {
-        let dir =
-            std::env::temp_dir().join(format!("qrn-serve-transitions-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let ckpt = dir.join("fleet.ckpt");
-        let mut config = test_config();
-        config.burndown.sequential = true;
-        config.checkpoint = Some(ckpt.clone());
-        let handle = Server::start(config).unwrap();
-        let addr = handle.addr();
-        // First look over clean exposure: everything Ok, no transitions.
-        let exposure = "{\"v\":1,\"event\":\"exposure\",\"vehicle\":\"V1\",\"hours\":8.0}\n";
-        assert_eq!(post(addr, "/v1/ingest", exposure).0, 200);
-        assert_eq!(get(addr, "/v1/burndown").0, 200);
-        // 40 severe VRU collisions: I3 burns; the second look records the
-        // Ok → Burned edge.
-        assert_eq!(post(addr, "/v1/ingest", &crash_lines(40)).0, 200);
-        let (status, body) = get(addr, "/v1/burndown");
-        assert_eq!(status, 200);
-        let report: FleetReport = serde_json::from_str(&body).unwrap();
-        let i3 = report.goal(&"I3".into()).unwrap();
-        assert_eq!(i3.alert, qrn_fleet::AlertLevel::Burned, "{body}");
-        handle.stop().unwrap();
+        // Checkpoint only, then checkpoint + store: in store mode the
+        // checkpoint path holds the look sidecar alone.
+        for with_store in [false, true] {
+            let dir = std::env::temp_dir().join(format!(
+                "qrn-serve-transitions-{with_store}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let ckpt = dir.join("fleet.ckpt");
+            let mut config = test_config();
+            config.burndown.sequential = true;
+            config.checkpoint = Some(ckpt.clone());
+            if with_store {
+                config.store = Some(dir.join("store"));
+            }
+            let handle = Server::start(config.clone()).unwrap();
+            let addr = handle.addr();
+            // First look over clean exposure: everything Ok, no transitions.
+            let exposure = "{\"v\":1,\"event\":\"exposure\",\"vehicle\":\"V1\",\"hours\":8.0}\n";
+            assert_eq!(post(addr, "/v1/ingest", exposure).0, 200);
+            assert_eq!(get(addr, "/v1/burndown").0, 200);
+            // 40 severe VRU collisions: I3 burns; the second look records
+            // the Ok → Burned edge.
+            assert_eq!(post(addr, "/v1/ingest", &crash_lines(40)).0, 200);
+            let (status, body) = get(addr, "/v1/burndown");
+            assert_eq!(status, 200);
+            let report: FleetReport = serde_json::from_str(&body).unwrap();
+            let i3 = report.goal(&"I3".into()).unwrap();
+            assert_eq!(i3.alert, qrn_fleet::AlertLevel::Burned, "{body}");
+            handle.stop().unwrap();
+            assert_eq!(ckpt.exists(), !with_store, "store mode wrote a state file");
 
-        let book = LookBook::load_if_exists(&LookBook::sidecar_path(&ckpt))
-            .unwrap()
-            .expect("final checkpoint writes the sidecar");
-        let entry = book.goal("I3").unwrap();
-        assert_eq!(entry.looks, 2);
-        assert_eq!(entry.alert, qrn_fleet::AlertLevel::Burned);
-        assert_eq!(entry.transitions.len(), 1);
-        assert_eq!(entry.transitions[0].to, qrn_fleet::AlertLevel::Burned);
-        assert!(entry.transitions[0].at_unix_millis > 0);
-        // A restarted server resumes both counts and history.
-        let mut config = test_config();
-        config.burndown.sequential = true;
-        config.checkpoint = Some(ckpt.clone());
-        let handle = Server::start(config).unwrap();
-        let (status, body) = get(handle.addr(), "/v1/burndown");
-        assert_eq!(status, 200);
-        let report: FleetReport = serde_json::from_str(&body).unwrap();
-        assert!(report.goals.iter().all(|g| g.looks == 3), "{body}");
-        handle.stop().unwrap();
-        let book = LookBook::load_if_exists(&LookBook::sidecar_path(&ckpt))
-            .unwrap()
-            .unwrap();
-        // The burned edge is still the only transition: the restart's
-        // look observed the same level.
-        assert_eq!(book.goal("I3").unwrap().transitions.len(), 1);
-        std::fs::remove_dir_all(&dir).unwrap();
+            let book = LookBook::load_if_exists(&LookBook::sidecar_path(&ckpt))
+                .unwrap()
+                .expect("final checkpoint writes the sidecar");
+            let entry = book.goal("I3").unwrap();
+            assert_eq!(entry.looks, 2);
+            assert_eq!(entry.alert, qrn_fleet::AlertLevel::Burned);
+            assert_eq!(entry.transitions.len(), 1);
+            assert_eq!(entry.transitions[0].to, qrn_fleet::AlertLevel::Burned);
+            assert!(entry.transitions[0].at_unix_millis > 0);
+            // A restarted server resumes both counts and history, and its
+            // evidence from whichever path the mode keeps.
+            let handle = Server::start(config).unwrap();
+            let (status, body) = get(handle.addr(), "/v1/burndown");
+            assert_eq!(status, 200);
+            let report: FleetReport = serde_json::from_str(&body).unwrap();
+            assert!(report.goals.iter().all(|g| g.looks == 3), "{body}");
+            handle.stop().unwrap();
+            assert_eq!(ckpt.exists(), !with_store, "store mode wrote a state file");
+            let book = LookBook::load_if_exists(&LookBook::sidecar_path(&ckpt))
+                .unwrap()
+                .unwrap();
+            // The burned edge is still the only transition: the restart's
+            // look observed the same level.
+            assert_eq!(book.goal("I3").unwrap().transitions.len(), 1);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
@@ -2062,7 +2037,6 @@ mod tests {
             (|c: &mut ServeConfig| c.workers = 0) as fn(&mut ServeConfig),
             |c| c.queue_depth = 0,
             |c| c.max_body_bytes = 0,
-            |c| c.checkpoint_every = 0,
             |c| c.shards = 0,
             |c| c.state_shards = 0,
             |c| c.bind = String::new(),

@@ -1,7 +1,7 @@
 //! The sharded live state: N ledger shards behind their own locks, one
 //! striped vehicle roster, a lock-free ingest handoff, and two reads —
 //! a ledger-only [`ShardedState::snapshot`] for burn-down and `/metrics`
-//! and the full [`ShardedState::fold`] for checkpoints.
+//! and the full [`ShardedState::fold`] for store-less checkpoints.
 //!
 //! # Why sharding preserves byte-identity
 //!
@@ -37,7 +37,7 @@
 //! vehicle registry. [`ShardedState::snapshot`] merges the shard
 //! ledgers and takes the vehicle count from the registry's atomic, so
 //! its cost is flat in fleet size. [`ShardedState::fold`], which
-//! checkpoints and the graceful drain need, adds the roster assembled
+//! store-less checkpoints need, adds the roster assembled
 //! from the stripes and serialises exactly as the per-shard rosters did.
 //!
 //! Lock order is always shard → stripe. Ingest takes one shard lock,
@@ -335,8 +335,8 @@ impl ShardedState {
     /// byte-identical to merging every ingested segment in arrival
     /// order. Holding all shard locks while the roster is assembled
     /// makes the fold consistent (no segment is half-visible). Costs
-    /// O(vehicles); checkpoints and the graceful drain need it, reads do
-    /// not (see [`ShardedState::snapshot`]).
+    /// O(vehicles); store-less checkpoints need it, reads and store-mode
+    /// serving do not (see [`ShardedState::snapshot`]).
     pub fn fold(&self) -> FleetState {
         let (_guards, mut state) = self.fold_totals();
         state.set_vehicles(self.vehicles.roster());

@@ -5,7 +5,9 @@
 
 use qrn::core::examples::{paper_allocation, paper_classification, paper_norm};
 use qrn::core::verification::{verify, verify_evidence};
-use qrn::fleet::burndown::{burn_down_evidence, BurnDownConfig, REPORT_SCHEMA_VERSION};
+use qrn::fleet::burndown::{
+    burn_down_evidence_filtered, BurnDownConfig, ContextFilter, REPORT_SCHEMA_VERSION,
+};
 use qrn::fleet::ingest::ingest_str;
 use qrn::fleet::telemetry::{Policy, Scenario, TelemetryConfig};
 use qrn::sim::monte_carlo::Campaign;
@@ -54,7 +56,14 @@ fn combined_burn_down_artefact_is_byte_stable() {
             by_zone: true,
             ..BurnDownConfig::default()
         };
-        let report = burn_down_evidence(&norm, &allocation, &combined, &config).unwrap();
+        let report = burn_down_evidence_filtered(
+            &norm,
+            &allocation,
+            &combined,
+            &config,
+            &ContextFilter::all(),
+        )
+        .unwrap();
         serde_json::to_string_pretty(&report).unwrap()
     };
 

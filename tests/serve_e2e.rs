@@ -372,7 +372,7 @@ fn zone_queries_serve_refinement_rows() {
     assert!(!zone.goals.is_empty());
     // The bare name selects by equality: the body is the ledger's
     // offline "urban" row (this first read is look 1, as offline).
-    let offline = qrn::fleet::burndown::burn_down_evidence(
+    let offline = qrn::fleet::burndown::burn_down_evidence_filtered(
         &paper_norm().unwrap(),
         &paper_allocation(&paper_classification().unwrap()).unwrap(),
         &ledger,
@@ -380,6 +380,7 @@ fn zone_queries_serve_refinement_rows() {
             by_zone: true,
             ..BurnDownConfig::default()
         },
+        &qrn::fleet::burndown::ContextFilter::all(),
     )
     .unwrap();
     assert_eq!(

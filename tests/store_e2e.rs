@@ -1,7 +1,7 @@
 //! End-to-end tests of the store-backed evidence server over real
-//! localhost TCP: store recovery versus the checkpoint path (byte
-//! identity), and `?as_of=` time travel versus the offline report
-//! pipeline (byte identity, no SPRT look spent).
+//! localhost TCP: store recovery versus offline ingest (byte identity,
+//! no state checkpoint written), and `?as_of=` time travel versus the
+//! offline report pipeline (byte identity, no SPRT look spent).
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -13,6 +13,7 @@ use qrn::fleet::burndown::{
     burn_down, burn_down_filtered, BurnDownConfig, ContextFilter, FleetReport,
 };
 use qrn::fleet::ingest::{ingest_str, FleetState};
+use qrn::fleet::looks::LookBook;
 use qrn::fleet::telemetry::{Scenario, TelemetryConfig};
 use qrn::serve::{ServeConfig, Server};
 use qrn::store::StoreReader;
@@ -131,13 +132,37 @@ fn now_millis() -> u64 {
         .unwrap_or(0)
 }
 
+/// The time of the newest stored record: the `ts` of the live point that
+/// closes `/v1/history`'s timeline.
+fn live_point_ts(addr: SocketAddr) -> u64 {
+    let (status, body) = get(addr, "/v1/history");
+    assert_eq!(status, 200, "{body}");
+    let history = serde_json::parse(&body).unwrap();
+    let live = history
+        .as_object()
+        .and_then(|h| h.get("points"))
+        .and_then(|points| points.as_array())
+        .and_then(|points| points.last())
+        .and_then(|point| point.as_object())
+        .expect("a non-empty store has a live point");
+    assert_eq!(
+        live.get("live"),
+        Some(&serde_json::Value::Bool(true)),
+        "{body}"
+    );
+    match live.get("ts") {
+        Some(serde_json::Value::Number(ts)) => ts.as_u64().expect("ts is a u64"),
+        other => panic!("live point has no numeric ts: {other:?}"),
+    }
+}
+
 #[test]
-fn store_recovery_is_byte_identical_to_the_checkpoint_path() {
+fn store_recovery_is_byte_identical_to_offline_ingest() {
     let dir = temp_dir("recovery");
     let store_dir = dir.join("store");
     let mut config = test_config(&store_dir);
-    // Both durability paths at once: every accepted batch goes to the
-    // store, and the graceful drain writes a final checkpoint.
+    // With a store, the checkpoint path keeps only the look sidecar: the
+    // store is the state's one durability path.
     let checkpoint = dir.join("live-state.json");
     config.checkpoint = Some(checkpoint.clone());
 
@@ -150,9 +175,14 @@ fn store_recovery_is_byte_identical_to_the_checkpoint_path() {
         assert!(body.contains("\"stored\": true"), "{body}");
     }
     handle.stop().unwrap();
+    assert!(
+        !checkpoint.exists(),
+        "a store-backed server wrote a state file"
+    );
+    assert!(LookBook::sidecar_path(&checkpoint).exists());
 
-    // The store's full replay folds to exactly the bytes the checkpoint
-    // holds — two independent durability paths, one state.
+    // The store's full replay folds to exactly the bytes offline ingest
+    // of the same batches produces.
     let reader = StoreReader::open(
         &store_dir.join("default"),
         paper_classification().unwrap(),
@@ -161,27 +191,24 @@ fn store_recovery_is_byte_identical_to_the_checkpoint_path() {
     .unwrap();
     let replayed = reader.fold_as_of(None).unwrap();
     assert_eq!(
-        std::fs::read_to_string(&checkpoint).unwrap(),
-        serde_json::to_string_pretty(&replayed.state).unwrap(),
-        "store replay differs from the final checkpoint"
-    );
-    assert_eq!(
         serde_json::to_string_pretty(&replayed.state).unwrap(),
         serde_json::to_string_pretty(&offline_state(&batches)).unwrap(),
         "store replay differs from offline ingest"
     );
 
-    // A restarted store-backed server (no checkpoint configured) serves
-    // the identical burn-down: recovery comes from the store alone. The
-    // first look matches the offline report's one and only look.
-    let mut config = test_config(&store_dir);
-    config.checkpoint = None;
+    // A restarted server recovers from the store alone and serves the
+    // identical burn-down. The sidecar holds no look yet, so the first
+    // look matches the offline report's one and only look.
     let handle = Server::start(config).unwrap();
     let addr = handle.addr();
     let (status, body) = get(addr, "/v1/burndown");
     assert_eq!(status, 200, "{body}");
     assert_eq!(body, offline_report(&batches));
     handle.stop().unwrap();
+    assert!(
+        !checkpoint.exists(),
+        "a store-backed server wrote a state file"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -241,13 +268,16 @@ fn as_of_time_travel_matches_the_offline_report_and_spends_no_look() {
     let handle = Server::start(test_config(&store_dir)).unwrap();
     let addr = handle.addr();
 
-    // First batch, then a cut timestamp strictly between the first and
-    // second append (record timestamps come from the server's clock and
-    // are forced monotone, so sleeping past the cut keeps it strict).
+    // First batch, then a cut at its record's timestamp. Record times
+    // come from the server's clock and are forced monotone, so two
+    // records can share a millisecond: wait until the clock passes the
+    // cut, and every later record is stamped after it.
     let (status, body) = post(addr, "/v1/ingest", &batches[0]);
     assert_eq!(status, 200, "{body}");
-    let cut = now_millis();
-    std::thread::sleep(Duration::from_millis(25));
+    let cut = live_point_ts(addr);
+    while now_millis() <= cut {
+        std::thread::yield_now();
+    }
     for batch in &batches[1..] {
         assert_eq!(post(addr, "/v1/ingest", batch).0, 200);
     }
