@@ -8,7 +8,8 @@
 //! and fallback parsers (asserting the fast path is never slower),
 //! events/second through `ingest_str`, and accepted events/second under
 //! concurrent store-backed POSTs for group-commit caps 1 (one fsync per
-//! batch) and the default (one fsync per drained group). The absolute
+//! batch) and the default (one fsync per drained group), each the median
+//! and quartiles of repeated runs. The absolute
 //! numbers are machine-local; on a 1-CPU container the serve rows show
 //! fsync amortisation only, not the multi-core scaling an ingestion
 //! host would see.
@@ -19,7 +20,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Instant;
 
-use qrn_bench::report::save_json;
+use qrn_bench::report::{insert_quartiles, save_json};
 use qrn_core::examples::{paper_allocation, paper_classification, paper_norm};
 use qrn_fleet::event::fastpath::try_parse_strict;
 use qrn_fleet::event::{parse_line_with_meta, parse_line_with_seq};
@@ -222,7 +223,8 @@ fn timed_store_ingest(group_commit: usize, clients: usize, posts_per_client: usi
 }
 
 /// Writes `results/BENCH_ingest.json` and asserts the fast parser is
-/// never slower than the tolerant fallback on the same clean log.
+/// never slower than the tolerant fallback on the same clean log. Every
+/// rate is the median and quartiles of repeated timed runs.
 fn emit_ingest_baseline() {
     let host_cpus = std::thread::available_parallelism()
         .map(usize::from)
@@ -234,12 +236,29 @@ fn emit_ingest_baseline() {
     } else {
         (40, 20, 4, 24)
     };
+    let repeats = if quick() { 3 } else { 9 };
+    let samples =
+        |measure: &dyn Fn() -> f64| -> Vec<f64> { (0..repeats).map(|_| measure()).collect() };
 
-    let fast = timed_parse(&log, parse_iters, |line| try_parse_strict(line).is_some());
-    let fallback = timed_parse(&log, parse_iters, |line| {
-        matches!(parse_line_with_seq(line), Ok(Some(_)))
-    });
+    let mut parse = serde_json::json!({});
+    let fast = insert_quartiles(
+        &mut parse,
+        "fast_lines_per_second",
+        samples(&|| timed_parse(&log, parse_iters, |line| try_parse_strict(line).is_some())),
+    );
+    let fallback = insert_quartiles(
+        &mut parse,
+        "fallback_lines_per_second",
+        samples(&|| {
+            timed_parse(&log, parse_iters, |line| {
+                matches!(parse_line_with_seq(line), Ok(Some(_)))
+            })
+        }),
+    );
     let speedup = fast / fallback;
+    if let serde_json::Value::Object(fields) = &mut parse {
+        fields.insert("speedup".to_string(), serde_json::json!(speedup));
+    }
     println!(
         "ingest/parse fast: {fast:.0} lines/s, fallback: {fallback:.0} lines/s ({speedup:.2}x)"
     );
@@ -248,33 +267,64 @@ fn emit_ingest_baseline() {
     // validates and borrows the canonical context key, and must still
     // beat the tolerant fallback.
     let banded = banded_log(8, 64.0);
-    let banded_lines = banded.lines().count();
-    let ctx_fast = timed_parse(&banded, parse_iters, |line| {
-        try_parse_strict(line).is_some()
-    });
-    let ctx_fallback = timed_parse(&banded, parse_iters, |line| {
-        matches!(parse_line_with_meta(line), Ok(Some(_)))
-    });
+    let mut parse_ctx = serde_json::json!({ "lines": banded.lines().count() });
+    let ctx_fast = insert_quartiles(
+        &mut parse_ctx,
+        "fast_lines_per_second",
+        samples(&|| {
+            timed_parse(&banded, parse_iters, |line| {
+                try_parse_strict(line).is_some()
+            })
+        }),
+    );
+    let ctx_fallback = insert_quartiles(
+        &mut parse_ctx,
+        "fallback_lines_per_second",
+        samples(&|| {
+            timed_parse(&banded, parse_iters, |line| {
+                matches!(parse_line_with_meta(line), Ok(Some(_)))
+            })
+        }),
+    );
     let ctx_speedup = ctx_fast / ctx_fallback;
+    if let serde_json::Value::Object(fields) = &mut parse_ctx {
+        fields.insert("speedup".to_string(), serde_json::json!(ctx_speedup));
+    }
     println!(
         "ingest/parse_ctx fast: {ctx_fast:.0} lines/s, fallback: {ctx_fallback:.0} lines/s \
          ({ctx_speedup:.2}x)"
     );
 
     let classification = paper_classification().expect("paper example");
-    let events = log.lines().count();
-    let start = Instant::now();
-    for _ in 0..fold_iters {
-        ingest_str(black_box(&log), &classification, 1).expect("clean log folds");
-    }
-    let fold_rate = (events * fold_iters) as f64 / start.elapsed().as_secs_f64();
+    let mut fold = serde_json::json!({});
+    let fold_rate = insert_quartiles(
+        &mut fold,
+        "events_per_second",
+        samples(&|| {
+            let start = Instant::now();
+            for _ in 0..fold_iters {
+                ingest_str(black_box(&log), &classification, 1).expect("clean log folds");
+            }
+            (lines * fold_iters) as f64 / start.elapsed().as_secs_f64()
+        }),
+    );
     println!("ingest/ingest_str: {fold_rate:.0} events/s");
 
-    let per_batch = timed_store_ingest(1, clients, posts_per_client);
-    let grouped = timed_store_ingest(
-        qrn_store::writer::DEFAULT_GROUP_COMMIT,
-        clients,
-        posts_per_client,
+    let group_commit_max = qrn_store::writer::DEFAULT_GROUP_COMMIT;
+    let mut serve_store = serde_json::json!({
+        "clients": clients,
+        "posts_per_client": posts_per_client,
+        "group_commit_max": group_commit_max,
+    });
+    let per_batch = insert_quartiles(
+        &mut serve_store,
+        "per_batch_fsync_events_per_second",
+        samples(&|| timed_store_ingest(1, clients, posts_per_client)),
+    );
+    let grouped = insert_quartiles(
+        &mut serve_store,
+        "group_commit_events_per_second",
+        samples(&|| timed_store_ingest(group_commit_max, clients, posts_per_client)),
     );
     println!(
         "ingest/serve_store group_commit=1: {per_batch:.0} events/s, \
@@ -287,32 +337,17 @@ fn emit_ingest_baseline() {
             "host_cpus": host_cpus,
             "lines": lines,
             "quick": quick(),
-            "parse": {
-                "fast_lines_per_second": fast,
-                "fallback_lines_per_second": fallback,
-                "speedup": speedup,
-            },
-            "parse_ctx": {
-                "lines": banded_lines,
-                "fast_lines_per_second": ctx_fast,
-                "fallback_lines_per_second": ctx_fallback,
-                "speedup": ctx_speedup,
-            },
-            "fold": {
-                "events_per_second": fold_rate,
-            },
-            "serve_store": {
-                "clients": clients,
-                "posts_per_client": posts_per_client,
-                "per_batch_fsync_events_per_second": per_batch,
-                "group_commit_events_per_second": grouped,
-                "group_commit_max": qrn_store::writer::DEFAULT_GROUP_COMMIT,
-            },
-            "note": "machine-local: parse rows compare the zero-allocation scanner \
-                     with the tolerant serde fallback on one clean log; serve rows \
-                     compare one fsync per batch with group commit under concurrent \
-                     POSTs — on a 1-CPU container they show fsync amortisation, not \
-                     multi-core scaling",
+            "repeats": repeats,
+            "parse": parse,
+            "parse_ctx": parse_ctx,
+            "fold": fold,
+            "serve_store": serve_store,
+            "note": "machine-local, median and quartiles of repeated runs: parse rows \
+                     compare the zero-allocation scanner with the tolerant serde \
+                     fallback on one clean log (speedup is the ratio of medians); \
+                     serve rows compare one fsync per batch with group commit under \
+                     concurrent POSTs — on a 1-CPU container they show fsync \
+                     amortisation, not multi-core scaling",
         }),
     );
 

@@ -25,7 +25,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Instant;
 
-use qrn_bench::report::save_json;
+use qrn_bench::report::{insert_quartiles, save_json};
 use qrn_core::allocation::Allocation;
 use qrn_core::examples::{paper_allocation, paper_classification, paper_norm};
 use qrn_core::incident::IncidentRecord;
@@ -38,6 +38,7 @@ use qrn_fleet::telemetry::TelemetryConfig;
 use qrn_serve::{LedgerSnapshot, ServeConfig, Server, ServerHandle, ShardedState};
 use qrn_stats::evidence::EvidenceLedger;
 use qrn_stats::rng::{poisson, seeded};
+use qrn_stats::special::QuantileMemo;
 use qrn_units::{Hours, Speed};
 
 fn quick() -> bool {
@@ -202,7 +203,8 @@ impl ReadFixture {
         }
     }
 
-    /// What `GET /v1/burndown` and `/metrics` compute per item.
+    /// What `GET /v1/burndown` and `/metrics` compute per item, through
+    /// a fresh quantile memo: the cost of a read whose counts changed.
     fn snapshot_report(&self, state: &ShardedState) -> FleetReport {
         state
             .snapshot()
@@ -211,52 +213,21 @@ impl ReadFixture {
                 &self.allocation,
                 &self.config,
                 &ContextFilter::all(),
+                &QuantileMemo::new(),
             )
             .expect("report computes")
     }
 }
 
-/// Wall-time quartiles of `repeats` runs of `f`, in seconds.
-struct Quartiles {
-    p25: f64,
-    median: f64,
-    p75: f64,
-}
-
-impl Quartiles {
-    fn of<O>(repeats: usize, mut f: impl FnMut() -> O) -> Self {
-        let mut times: Vec<f64> = (0..repeats)
-            .map(|_| {
-                let start = Instant::now();
-                black_box(f());
-                start.elapsed().as_secs_f64()
-            })
-            .collect();
-        times.sort_by(f64::total_cmp);
-        let at = |q: f64| times[((times.len() - 1) as f64 * q).round() as usize];
-        Quartiles {
-            p25: at(0.25),
-            median: at(0.5),
-            p75: at(0.75),
-        }
-    }
-
-    /// `{prefix}_median`, `_p25` and `_p75` in `scale` units per second.
-    fn insert(&self, row: &mut serde_json::Value, prefix: &str, scale: f64) {
-        let serde_json::Value::Object(row) = row else {
-            panic!("rows are objects");
-        };
-        for (suffix, value) in [
-            ("p25", self.p25),
-            ("median", self.median),
-            ("p75", self.p75),
-        ] {
-            row.insert(
-                format!("{prefix}_{suffix}"),
-                serde_json::json!(value * scale),
-            );
-        }
-    }
+/// Wall times of `repeats` runs of `f`, in `scale` units per second.
+fn timed<O>(repeats: usize, scale: f64, mut f: impl FnMut() -> O) -> Vec<f64> {
+    (0..repeats)
+        .map(|_| {
+            let start = Instant::now();
+            black_box(f());
+            start.elapsed().as_secs_f64() * scale
+        })
+        .collect()
 }
 
 /// The read-cost rows of `results/BENCH_serve.json`: per fleet size, the
@@ -268,19 +239,19 @@ fn read_cost_rows() -> Vec<serde_json::Value> {
         .iter()
         .map(|&vehicles| {
             let state = roster_state(vehicles);
-            let report = Quartiles::of(repeats, || reads.snapshot_report(&state));
-            let fold = Quartiles::of(repeats, || state.fold());
-            println!(
-                "serve/read vehicles={vehicles}: snapshot+report {:.1} us, fold {:.2} ms",
-                report.median * 1e6,
-                fold.median * 1e3
-            );
             let mut row = serde_json::json!({
                 "vehicles": vehicles,
                 "repeats": repeats,
             });
-            report.insert(&mut row, "snapshot_report_us", 1e6);
-            fold.insert(&mut row, "fold_ms", 1e3);
+            let report = insert_quartiles(
+                &mut row,
+                "snapshot_report_us",
+                timed(repeats, 1e6, || reads.snapshot_report(&state)),
+            );
+            let fold = insert_quartiles(&mut row, "fold_ms", timed(repeats, 1e3, || state.fold()));
+            println!(
+                "serve/read vehicles={vehicles}: snapshot+report {report:.1} us, fold {fold:.2} ms"
+            );
             row
         })
         .collect()
@@ -331,61 +302,106 @@ fn shape_snapshot(allocation: &Allocation) -> LedgerSnapshot {
     }
 }
 
+/// A plain-read ledger shaped like the end state of a hot ingest run:
+/// one count per goal spread from about 500 to 23k, not in goal order,
+/// over a million fleet hours, so every Garwood bisection runs at a
+/// large count.
+fn large_count_snapshot(allocation: &Allocation) -> LedgerSnapshot {
+    let mut evidence = EvidenceLedger::new();
+    evidence.add_exposure(None, 1.0e6);
+    let kinds: Vec<&str> = allocation.budgets().map(|(id, _)| id.as_str()).collect();
+    let spread = (kinds.len() - 1).max(1) as f64;
+    for (k, kind) in kinds.iter().enumerate() {
+        // Every seventh rank modulo the goal count: a permutation, so
+        // the counts do not grow with the goal order.
+        let rank = (7 * k) % kinds.len();
+        let count = (500.0 * 46f64.powf(rank as f64 / spread)).round() as u64;
+        for _ in 0..count {
+            evidence.add_incident(None, kind, 1.0);
+        }
+    }
+    LedgerSnapshot {
+        evidence,
+        vehicles: 1_000,
+        lines: 0,
+        events: 0,
+        skipped: Default::default(),
+    }
+}
+
 /// The read-shape rows of `results/BENCH_serve.json`: the report cost of
 /// each burn-down read shape in sequential mode — the global report
 /// (`plain`), a one-dimension `?where=` (9 rows), a `?context=` (1 row)
-/// and the full by-context report (27 rows).
+/// and the full by-context report (27 rows) — plus a non-sequential
+/// plain read at large counts (`large_counts`), whose upper and lower
+/// Garwood bounds are both computed. Each row times the report *cold*,
+/// through a fresh quantile memo per repeat (a read whose counts
+/// changed), and *warm*, through one memo shared across the repeats on
+/// the unchanged ledger (a server's repeated read), and counts the
+/// quantiles each computes.
 fn read_shape_rows() -> Vec<serde_json::Value> {
     let reads = ReadFixture::new();
     let snapshot = shape_snapshot(&reads.allocation);
-    let distinct_counts: std::collections::BTreeSet<u64> = snapshot
-        .evidence
-        .named_contexts()
-        .flat_map(|(_, row)| {
-            reads
-                .allocation
-                .budgets()
-                .map(move |(id, _)| row.count(id.as_str()).observations())
-        })
-        .collect();
+    let large = large_count_snapshot(&reads.allocation);
+    // Distinct goal counts over every row, the global one included.
+    let distinct_counts = |snapshot: &LedgerSnapshot| {
+        let counts: std::collections::BTreeSet<u64> = snapshot
+            .evidence
+            .contexts()
+            .flat_map(|(_, row)| {
+                reads
+                    .allocation
+                    .budgets()
+                    .map(move |(id, _)| row.count(id.as_str()).observations())
+            })
+            .collect();
+        counts.len()
+    };
     let repeats = if quick() { 7 } else { 41 };
     let where_fog = ContextFilter::parse(["weather=fog"]).expect("valid clause");
     let context = ContextFilter::all().only(&shape_bands()[13]);
-    let shapes: [(&str, bool, &ContextFilter); 4] = [
-        ("plain", false, &ContextFilter::all()),
-        ("where", true, &where_fog),
-        ("context", true, &context),
-        ("by_context", true, &ContextFilter::all()),
+    let all = ContextFilter::all();
+    let shapes: [(&str, bool, bool, &LedgerSnapshot, &ContextFilter); 5] = [
+        ("plain", false, true, &snapshot, &all),
+        ("where", true, true, &snapshot, &where_fog),
+        ("context", true, true, &snapshot, &context),
+        ("by_context", true, true, &snapshot, &all),
+        ("large_counts", false, false, &large, &all),
     ];
     shapes
         .iter()
-        .map(|&(shape, by_zone, filter)| {
+        .map(|&(shape, by_zone, sequential, snapshot, filter)| {
             let config = BurnDownConfig {
                 by_zone,
-                sequential: true,
+                sequential,
                 ..BurnDownConfig::default()
             };
-            let rows = snapshot
-                .report(&reads.norm, &reads.allocation, &config, filter)
-                .expect("report computes")
-                .zones
-                .len();
-            let cost = Quartiles::of(repeats, || {
+            let report = |memo: &QuantileMemo| {
                 snapshot
-                    .report(&reads.norm, &reads.allocation, &config, filter)
+                    .report(&reads.norm, &reads.allocation, &config, filter, memo)
                     .expect("report computes")
-            });
-            println!(
-                "serve/read_shape {shape} ({rows} context rows): report {:.1} us",
-                cost.median * 1e6
-            );
+            };
+            let warm = QuantileMemo::new();
+            let rows = report(&warm).zones.len();
+            let cold_quantiles = warm.misses();
+            let cold = timed(repeats, 1e6, || report(&QuantileMemo::new()));
+            let warm_times = timed(repeats, 1e6, || report(&warm));
+            let warm_quantiles = warm.misses() - cold_quantiles;
             let mut row = serde_json::json!({
                 "shape": shape,
+                "sequential": sequential,
                 "context_rows": rows,
-                "distinct_counts": distinct_counts.len(),
+                "distinct_counts": distinct_counts(snapshot),
                 "repeats": repeats,
+                "cold_quantiles_computed": cold_quantiles,
+                "warm_quantiles_computed": warm_quantiles,
             });
-            cost.insert(&mut row, "report_us", 1e6);
+            let cold = insert_quartiles(&mut row, "report_us", cold);
+            let warm_cost = insert_quartiles(&mut row, "warm_report_us", warm_times);
+            println!(
+                "serve/read_shape {shape} ({rows} context rows): report {cold:.1} us cold \
+                 ({cold_quantiles} quantiles), {warm_cost:.1} us warm ({warm_quantiles} quantiles)"
+            );
             row
         })
         .collect()
@@ -498,7 +514,12 @@ fn emit_serve_baseline() {
                      read_shapes: sequential report cost per read shape on a 27-band \
                      ledger — one global row, plus the context rows served, plus one \
                      Garwood quantile per distinct count, so ?context= (1 row) costs \
-                     least after plain and the full by-context report most; \
+                     least after plain and the full by-context report most — and a \
+                     non-sequential plain read at counts of 500-23k (large_counts); \
+                     report_us is cold (a fresh quantile memo per repeat, as a read \
+                     whose counts changed), warm_report_us shares one memo across the \
+                     repeats on the unchanged ledger, as a server's repeated read does, \
+                     and computes no quantile; \
                      saturation: median (and min/max) events/second under concurrent \
                      ingest POSTs vs live-state shard count; on a 1-CPU container all \
                      shards share one core, so the curve shows lock-contention removal, \

@@ -18,7 +18,7 @@ use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use qrn_bench::report::save_json;
+use qrn_bench::report::{insert_quartiles, save_json};
 use qrn_core::examples::paper_classification;
 use qrn_fleet::event::FleetEvent;
 use qrn_fleet::telemetry::TelemetryConfig;
@@ -175,20 +175,6 @@ fn timed_store(snapshot_every_events: u64, batches: &[String]) -> TimedStore {
         reopen_records: status.batches + status.snapshots,
         state: serde_json::to_string(&summary.state).expect("state serialises"),
     }
-}
-
-/// Inserts `{prefix}_p25`, `_median` and `_p75` of `samples` into `row`
-/// and returns the median.
-fn insert_quartiles(row: &mut serde_json::Value, prefix: &str, mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    let at = |q: f64| samples[((samples.len() - 1) as f64 * q).round() as usize];
-    let serde_json::Value::Object(row) = row else {
-        panic!("rows are objects");
-    };
-    for (suffix, value) in [("p25", at(0.25)), ("median", at(0.5)), ("p75", at(0.75))] {
-        row.insert(format!("{prefix}_{suffix}"), serde_json::json!(value));
-    }
-    at(0.5)
 }
 
 /// The append-cost rows: the in-memory cost of one deferred append (the

@@ -32,6 +32,7 @@ use qrn_sim::scenario::{
 };
 use qrn_sim::{SplittingConfig, SplittingResult};
 use qrn_stats::evidence::EvidenceLedger;
+use qrn_stats::special::QuantileMemo;
 use qrn_units::{Hours, Speed};
 
 use crate::commands::{
@@ -407,7 +408,8 @@ fn report(
             evidence_paths.len()
         );
     }
-    let mut report = snapshot.report(&norm, &allocation, &config, &filter)?;
+    // A one-shot report: its quantile memo lives for this report only.
+    let mut report = snapshot.report(&norm, &allocation, &config, &filter, &QuantileMemo::new())?;
     // Look accounting aligned with `qrn serve`: with `--checkpoint`, this
     // report is one more look in a persistent sequence, kept in the
     // `<checkpoint>.looks.json` sidecar. Without it, a one-shot report

@@ -31,13 +31,18 @@
 //! # Cost of a report
 //!
 //! A report costs one global row, plus the context rows it serves, plus
-//! one Garwood quantile per distinct input:
+//! one Garwood quantile per distinct input the memo does not hold yet:
 //!
 //! * each Garwood bound is a chi-square quantile, a bisection of about 60
-//!   incomplete-gamma steps. The counts behind a report are small
-//!   repeated integers, so [`burn_down_evidence_filtered`] takes every
-//!   quantile through one [`QuantileMemo`] shared by all its rows. The
-//!   memo returns the bits a fresh call would, and lives for one call;
+//!   incomplete-gamma steps whose cost grows with the count. A quantile
+//!   depends only on `(dof, p)`, the count and the confidence, never on
+//!   the exposure. [`burn_down_evidence_filtered`] therefore takes every
+//!   quantile through a caller-owned [`QuantileMemo`], which returns the
+//!   bits a fresh call would. The memo lives as long as its owner:
+//!   [`burn_down`] and `qrn fleet report` pass a fresh memo per report,
+//!   and a server holds one memo for its lifetime, so a read whose counts
+//!   did not change since an earlier read computes no quantile at all.
+//!   There is no global or thread-local cache;
 //! * the per-goal instruments (SPRT, confidence sequence, budget
 //!   e-process) depend only on the budget and the config, so they are
 //!   built once per report;
@@ -599,13 +604,13 @@ impl<'a> GoalInstruments<'a> {
 /// Per-goal rows over one evidence slice (the global row or one zone's
 /// refinement row). Returns the rows and the per-goal lower bounds the
 /// class propagation needs. Garwood quantiles go through `memo`, which
-/// the caller shares across all slices of one report.
+/// the caller shares across all slices of one report, and beyond.
 fn goal_rows(
     instruments: &[GoalInstruments<'_>],
     exposure: Hours,
     count_of: &dyn Fn(&str) -> WeightedCount,
     config: &BurnDownConfig,
-    memo: &mut QuantileMemo,
+    memo: &QuantileMemo,
 ) -> Result<(Vec<GoalBurnDown>, Vec<Frequency>), FleetError> {
     let mut goals = Vec::with_capacity(instruments.len());
     let mut lower_bounds = Vec::with_capacity(instruments.len());
@@ -732,6 +737,12 @@ fn goal_rows(
 /// the global goal and class verdicts always cover the whole ledger, so
 /// filtering can never hide a burned budget.
 ///
+/// Every Garwood quantile goes through `memo`. A report's bytes do not
+/// depend on what the memo already holds, so the caller decides how
+/// long it lives: [`burn_down`] passes a fresh one per report, while a
+/// server passes one memo for its whole lifetime, so that a read whose
+/// counts did not change since an earlier read computes no quantile.
+///
 /// Fleet-operational metadata (vehicles, events, skip tallies) is zeroed
 /// here; [`burn_down`] fills it from a [`FleetState`].
 ///
@@ -746,6 +757,7 @@ pub fn burn_down_evidence_filtered(
     evidence: &EvidenceLedger,
     config: &BurnDownConfig,
     filter: &ContextFilter,
+    memo: &QuantileMemo,
 ) -> Result<FleetReport, FleetError> {
     config.validate()?;
     for class in allocation.shares().referenced_classes() {
@@ -757,17 +769,9 @@ pub fn burn_down_evidence_filtered(
         }
     }
     let instruments = GoalInstruments::for_allocation(allocation, config)?;
-    // One memo for the whole report: the global row and every context
-    // row share their repeated small counts' quantiles.
-    let mut memo = QuantileMemo::new();
     let exposure = Hours::new(evidence.exposure())?;
-    let (goals, lower_bounds) = goal_rows(
-        &instruments,
-        exposure,
-        &|k| evidence.count(k),
-        config,
-        &mut memo,
-    )?;
+    let (goals, lower_bounds) =
+        goal_rows(&instruments, exposure, &|k| evidence.count(k), config, memo)?;
     let classes = norm
         .classes()
         .map(|c| {
@@ -806,13 +810,8 @@ pub fn burn_down_evidence_filtered(
                 continue;
             }
             let zone_exposure = Hours::new(row.exposure_hours())?;
-            let (zone_goals, _) = goal_rows(
-                &instruments,
-                zone_exposure,
-                &|k| row.count(k),
-                config,
-                &mut memo,
-            )?;
+            let (zone_goals, _) =
+                goal_rows(&instruments, zone_exposure, &|k| row.count(k), config, memo)?;
             zones.push(ZoneBurnDown {
                 zone: name.to_string(),
                 exposure_hours: row.exposure_hours(),
@@ -868,8 +867,14 @@ pub fn burn_down_filtered(
     config: &BurnDownConfig,
     filter: &ContextFilter,
 ) -> Result<FleetReport, FleetError> {
-    let mut report =
-        burn_down_evidence_filtered(norm, allocation, state.evidence(), config, filter)?;
+    let mut report = burn_down_evidence_filtered(
+        norm,
+        allocation,
+        state.evidence(),
+        config,
+        filter,
+        &QuantileMemo::new(),
+    )?;
     report.vehicles = state.vehicle_count();
     report.events = state.events();
     report.skipped = state.skipped();
@@ -1030,6 +1035,7 @@ mod tests {
             state.evidence(),
             &config,
             &ContextFilter::all(),
+            &QuantileMemo::new(),
         )
         .unwrap();
         assert_eq!(from_state.goals, from_ledger.goals);
@@ -1064,6 +1070,7 @@ mod tests {
             &weighted_ledger(),
             &config,
             &ContextFilter::all(),
+            &QuantileMemo::new(),
         )
         .unwrap();
 
@@ -1127,6 +1134,7 @@ mod tests {
             &weighted_ledger(),
             &config,
             &ContextFilter::all(),
+            &QuantileMemo::new(),
         )
         .unwrap();
         assert_eq!(report.zones.len(), 1);
@@ -1172,6 +1180,7 @@ mod tests {
             &combined,
             &config,
             &ContextFilter::all(),
+            &QuantileMemo::new(),
         )
         .unwrap();
         assert!((report.exposure_hours - 1.2e6).abs() < 1e-3);
@@ -1257,6 +1266,7 @@ mod tests {
                 &ledger,
                 &config,
                 &ContextFilter::all(),
+                &QuantileMemo::new(),
             )
             .unwrap();
             for row in &all.zones {
@@ -1266,6 +1276,7 @@ mod tests {
                     &ledger,
                     &config,
                     &ContextFilter::all().only(&row.zone),
+                    &QuantileMemo::new(),
                 )
                 .unwrap();
                 assert_eq!(one.zones, vec![row.clone()]);
@@ -1278,6 +1289,7 @@ mod tests {
                 &ledger,
                 &config,
                 &ContextFilter::all().only("zone=atlantis"),
+                &QuantileMemo::new(),
             )
             .unwrap();
             assert!(none.zones.is_empty());
@@ -1300,6 +1312,7 @@ mod tests {
             &ledger,
             &config,
             &ContextFilter::all(),
+            &QuantileMemo::new(),
         )
         .unwrap();
         assert_eq!(all.zones.len(), 3);
@@ -1309,6 +1322,7 @@ mod tests {
             &ledger,
             &config,
             &ContextFilter::parse(["weather=fog"]).unwrap(),
+            &QuantileMemo::new(),
         )
         .unwrap();
         assert_eq!(fog.zones.len(), 2);
@@ -1439,6 +1453,7 @@ mod tests {
             &weighted_ledger(),
             &config,
             &ContextFilter::all(),
+            &QuantileMemo::new(),
         )
         .unwrap();
         let i3 = report.goal(&"I3".into()).unwrap();
@@ -1476,5 +1491,94 @@ mod tests {
         assert!(text.contains("I_I3"));
         assert!(text.contains("BURNED"));
         assert!(text.contains("vS3"));
+    }
+
+    /// A random ledger over `kinds`: every cell is `(context, kind,
+    /// incidents, weighted)`, and each context carries its quarter hours
+    /// of exposure, booked to the global row as well.
+    fn random_ledger(
+        kinds: &[String],
+        quarter_hours: &[u32],
+        cells: &[(usize, usize, u32, bool)],
+    ) -> EvidenceLedger {
+        let contexts = ["zone=a", "zone=b", "zone=c"];
+        let mut ledger = EvidenceLedger::new();
+        for (context, quarters) in contexts.iter().zip(quarter_hours) {
+            let hours = 0.25 * f64::from(*quarters);
+            ledger.add_exposure(None, hours);
+            ledger.add_exposure(Some(context), hours);
+        }
+        for &(context, kind, incidents, weighted) in cells {
+            let kind = &kinds[kind % kinds.len()];
+            let weight = if weighted { 0.5 } else { 1.0 };
+            for _ in 0..incidents {
+                ledger.add_incident(None, kind, weight);
+                ledger.add_incident(Some(contexts[context % contexts.len()]), kind, weight);
+            }
+        }
+        ledger
+    }
+
+    use proptest::prelude::*;
+    use qrn_stats::special::QUANTILE_MEMO_CAPACITY;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// A memo shared beyond one report changes no byte: a report
+        /// computed through a memo warmed by reports over other ledgers,
+        /// pushed past an eviction and then read by two threads at once
+        /// equals the report computed through a fresh memo.
+        #[test]
+        fn warm_shared_memo_reports_equal_cold_reports(
+            target in proptest::collection::vec(
+                (0usize..3, 0usize..64, 0u32..60, any::<bool>()), 0..12),
+            others in proptest::collection::vec(
+                proptest::collection::vec((0usize..3, 0usize..64, 0u32..60, any::<bool>()), 0..12),
+                1..4),
+            quarter_hours in proptest::collection::vec(1u32..40_000, 3),
+            sequential in any::<bool>(),
+        ) {
+            let norm = paper_norm().unwrap();
+            let allocation = paper_allocation(&paper_classification().unwrap()).unwrap();
+            let kinds: Vec<String> =
+                allocation.budgets().map(|(id, _)| id.as_str().to_string()).collect();
+            let config = BurnDownConfig { by_zone: true, sequential, ..BurnDownConfig::default() };
+            let all = ContextFilter::all();
+            let report = |ledger: &EvidenceLedger, memo: &QuantileMemo| {
+                burn_down_evidence_filtered(&norm, &allocation, ledger, &config, &all, memo)
+                    .unwrap()
+                    .to_canonical_json()
+            };
+            let target = random_ledger(&kinds, &quarter_hours, &target);
+            let cold = report(&target, &QuantileMemo::new());
+
+            let memo = QuantileMemo::new();
+            let others: Vec<EvidenceLedger> = others
+                .iter()
+                .map(|cells| random_ledger(&kinds, &quarter_hours, cells))
+                .collect();
+            for other in &others {
+                report(other, &memo);
+            }
+            // Cheap inputs no report asks for push the first generation
+            // out of the memo; the other reports then refill part of it.
+            for i in 0..QUANTILE_MEMO_CAPACITY {
+                let p = (i + 1) as f64 / (QUANTILE_MEMO_CAPACITY + 2) as f64;
+                memo.chi_square_quantile(2.0, p).unwrap();
+            }
+            prop_assert!(memo.len() < memo.misses() as usize, "nothing was evicted");
+            report(&others[0], &memo);
+
+            let warm: Vec<String> = std::thread::scope(|scope| {
+                let readers: Vec<_> =
+                    (0..2).map(|_| scope.spawn(|| report(&target, &memo))).collect();
+                readers.into_iter().map(|reader| reader.join().unwrap()).collect()
+            });
+            for body in &warm {
+                prop_assert_eq!(body, &cold);
+            }
+            prop_assert!(memo.len() <= QUANTILE_MEMO_CAPACITY);
+        }
     }
 }

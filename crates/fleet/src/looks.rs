@@ -332,6 +332,7 @@ mod tests {
         use crate::burndown::{burn_down_evidence_filtered, BurnDownConfig, ContextFilter};
         use qrn_core::examples::{paper_allocation, paper_classification, paper_norm};
         use qrn_stats::evidence::EvidenceLedger;
+        use qrn_stats::special::QuantileMemo;
 
         let norm = paper_norm().unwrap();
         let allocation = paper_allocation(&paper_classification().unwrap()).unwrap();
@@ -349,8 +350,15 @@ mod tests {
             ..BurnDownConfig::default()
         };
         let report = || {
-            burn_down_evidence_filtered(&norm, &allocation, &ledger, &config, &ContextFilter::all())
-                .unwrap()
+            burn_down_evidence_filtered(
+                &norm,
+                &allocation,
+                &ledger,
+                &config,
+                &ContextFilter::all(),
+                &QuantileMemo::new(),
+            )
+            .unwrap()
         };
         let mut book = LookBook::new();
         for now in [1, 2] {

@@ -23,7 +23,9 @@
 //!   timeline (store deployments only).
 //! * `GET /metrics` — Prometheus text exposition: exposure, per-kind
 //!   incident mass, per-goal budget consumption (all labelled by item),
-//!   ingest/skip counters and request latency histograms.
+//!   ingest/skip counters, request latency histograms, busy-worker and
+//!   queue-depth gauges, and the hits and misses of the server's
+//!   quantile memo.
 //! * `GET /healthz` — liveness.
 //! * `POST /v1/shutdown` — graceful drain (the SIGTERM-equivalent a
 //!   std-only binary can actually receive): in-flight requests finish,

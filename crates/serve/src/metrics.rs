@@ -82,6 +82,8 @@ pub struct ServerMetrics {
     segments_ingested: AtomicU64,
     /// Checkpoints successfully written.
     checkpoints_written: AtomicU64,
+    /// Workers serving a connection right now (a gauge).
+    workers_busy: AtomicU64,
     /// Latency histogram: counts per bucket of [`LATENCY_BUCKETS`] plus
     /// the `+Inf` bucket.
     latency_counts: [AtomicU64; LATENCY_BUCKETS.len() + 1],
@@ -125,6 +127,21 @@ impl ServerMetrics {
     /// Counts one written checkpoint.
     pub fn count_checkpoint(&self) {
         self.checkpoints_written.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Marks one worker busy: it took a connection off the queue.
+    pub fn worker_busy(&self) {
+        self.workers_busy.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Marks one busy worker idle again.
+    pub fn worker_idle(&self) {
+        self.workers_busy.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Workers serving a connection right now.
+    pub fn workers_busy(&self) -> u64 {
+        self.workers_busy.load(Ordering::Relaxed)
     }
 
     /// Number of checkpoints written so far.
@@ -194,6 +211,13 @@ impl ServerMetrics {
             &[("reason", "client_gone")],
             self.connections_dropped.load(Ordering::Relaxed),
         );
+
+        out.family(
+            "qrn_http_workers_busy",
+            "Workers serving a connection right now",
+            MetricKind::Gauge,
+        );
+        out.sample_u64("qrn_http_workers_busy", &[], self.workers_busy());
 
         out.family(
             "qrn_server_segments_ingested_total",
@@ -266,6 +290,9 @@ mod tests {
         m.count_queue_full();
         m.count_segment();
         m.count_checkpoint();
+        m.worker_busy();
+        m.worker_busy();
+        m.worker_idle();
         m.observe_latency(Duration::from_millis(3));
         m.observe_latency(Duration::from_secs(120));
 
@@ -303,6 +330,7 @@ mod tests {
             "{body}"
         );
         assert!(body.contains("qrn_http_request_seconds_count 2"), "{body}");
+        assert!(body.contains("qrn_http_workers_busy 1"), "{body}");
         // Unseen routes and statuses render nothing, as the old
         // map-based counters did.
         assert!(!body.contains("route=\"/metrics\""), "{body}");

@@ -28,6 +28,14 @@
 //! `qrn fleet ingest` of the same segments (see [`crate::state`] for the
 //! argument and the property test).
 //!
+//! Every report the server computes — each item's burn-down, `?as_of=`
+//! and `/metrics` — takes its Garwood quantiles through one
+//! [`QuantileMemo`] owned by the server for its lifetime. A quantile
+//! depends only on its inputs, never on the item or the ledger, and the
+//! memo returns the bits a fresh bisection would, so sharing it changes
+//! no byte; a read whose counts did not change since an earlier read
+//! computes no quantile at all.
+//!
 //! # Durability
 //!
 //! Each serve mode has one evidence durability path. Without a store,
@@ -88,6 +96,7 @@ use qrn_fleet::ingest::{ingest_str, FleetState};
 use qrn_fleet::looks::LookBook;
 use qrn_stats::evidence::EvidenceLedger;
 use qrn_stats::prometheus::{render_ledgers, MetricKind, TextFamilies};
+use qrn_stats::special::QuantileMemo;
 use qrn_store::{AppendHook, AppendReceipt, Store, StoreConfig, StoreReader, StoreWriterHandle};
 
 use crate::http::{read_request, Request, Response};
@@ -368,6 +377,11 @@ impl ConnQueue {
         self.available.notify_one();
     }
 
+    /// Jobs waiting for a worker.
+    fn len(&self) -> usize {
+        self.jobs.lock().expect("queue mutex poisoned").len()
+    }
+
     /// Blocks until a job is available.
     fn pop(&self) -> Job {
         let mut jobs = self.jobs.lock().expect("queue mutex poisoned");
@@ -419,6 +433,9 @@ struct Inner {
     items: Vec<Item>,
     addr: SocketAddr,
     metrics: ServerMetrics,
+    /// The Garwood quantiles of every report this server computes, for
+    /// all items and routes (see the module docs).
+    quantiles: QuantileMemo,
     shutdown: AtomicBool,
     started: Instant,
     queue: ConnQueue,
@@ -564,13 +581,15 @@ impl Inner {
         snapshot
     }
 
-    /// Computes one item's burn-down report from its evidence view. The
-    /// filter restricts which named contexts get refinement rows, and a
-    /// selector narrows them to the one context it names, so a
-    /// `?context=` read computes one refinement row, not all of them. A
-    /// filter or a selector turns the refinement rows on; pass
-    /// [`ContextFilter::all`] and no selector for the configured report.
+    /// Computes one item's burn-down report from its evidence view,
+    /// through the server's quantile memo. The filter restricts which
+    /// named contexts get refinement rows, and a selector narrows them to
+    /// the one context it names, so a `?context=` read computes one
+    /// refinement row, not all of them. A filter or a selector turns the
+    /// refinement rows on; pass [`ContextFilter::all`] and no selector
+    /// for the configured report.
     fn compute_report(
+        &self,
         item: &Item,
         view: &LedgerSnapshot,
         config: &BurnDownConfig,
@@ -585,7 +604,13 @@ impl Inner {
             Some(name) => filter.clone().only(name),
             None => filter.clone(),
         };
-        view.report(&item.config.norm, &item.config.allocation, &config, &filter)
+        view.report(
+            &item.config.norm,
+            &item.config.allocation,
+            &config,
+            &filter,
+            &self.quantiles,
+        )
     }
 
     /// Parses the query string shared by both burn-down routes. Unknown
@@ -699,7 +724,7 @@ impl Inner {
                 }
             };
         let view = Self::evidence_view(item, LedgerSnapshot::from(summary.state));
-        let report = match Self::compute_report(
+        let report = match self.compute_report(
             item,
             &view,
             &self.config.burndown,
@@ -754,7 +779,7 @@ impl Inner {
             return self.handle_burndown_as_of(item, &query, &as_of);
         }
         let view = Self::evidence_view(item, item.state.snapshot());
-        let mut report = match Self::compute_report(
+        let mut report = match self.compute_report(
             item,
             &view,
             &self.config.burndown,
@@ -796,12 +821,18 @@ impl Inner {
                 looks: item.looks.lock().expect("look mutex poisoned").clone(),
             });
         }
+        // A scrape renders only the goal and class rows, so it computes
+        // no context rows, whatever the server's configured report holds.
+        let scrape_config = BurnDownConfig {
+            by_zone: false,
+            ..self.config.burndown
+        };
         let mut reports = Vec::with_capacity(views.len());
         for view in &views {
-            match Self::compute_report(
+            match self.compute_report(
                 view.item,
                 &view.evidence,
-                &self.config.burndown,
+                &scrape_config,
                 &ContextFilter::all(),
                 None,
             ) {
@@ -829,6 +860,27 @@ impl Inner {
         );
 
         self.metrics.render(&mut out);
+        out.family(
+            "qrn_http_queue_depth",
+            "Accepted connections waiting for a worker",
+            MetricKind::Gauge,
+        );
+        out.sample_u64("qrn_http_queue_depth", &[], self.queue.len() as u64);
+        out.family(
+            "qrn_quantile_memo_lookups_total",
+            "Garwood quantile lookups in the server-lifetime memo, by result (a miss runs a bisection)",
+            MetricKind::Counter,
+        );
+        for (result, count) in [
+            ("hit", self.quantiles.hits()),
+            ("miss", self.quantiles.misses()),
+        ] {
+            out.sample_u64(
+                "qrn_quantile_memo_lookups_total",
+                &[("result", result)],
+                count,
+            );
+        }
 
         out.family(
             "qrn_fleet_lines_total",
@@ -1150,26 +1202,35 @@ impl Inner {
             match self.queue.pop() {
                 Job::Stop => break,
                 Job::Conn(mut stream) => {
-                    let start = Instant::now();
-                    let response = match read_request(&mut stream, self.config.max_body_bytes) {
-                        Ok(req) => {
-                            self.metrics.count_request(&req.path);
-                            self.route(&req)
-                        }
-                        Err(e) => match e.response() {
-                            Some(response) => response,
-                            None => {
-                                self.metrics.count_dropped();
-                                continue;
-                            }
-                        },
-                    };
-                    self.metrics.count_response(response.status);
-                    let _ = response.write_to(&mut stream);
-                    self.metrics.observe_latency(start.elapsed());
+                    self.metrics.worker_busy();
+                    self.serve_connection(&mut stream);
+                    // Idle before the close: a client that has read its
+                    // whole reply finds this worker idle again.
+                    self.metrics.worker_idle();
                 }
             }
         }
+    }
+
+    /// Reads, routes and answers the one request of a connection.
+    fn serve_connection(&self, stream: &mut TcpStream) {
+        let start = Instant::now();
+        let response = match read_request(stream, self.config.max_body_bytes) {
+            Ok(req) => {
+                self.metrics.count_request(&req.path);
+                self.route(&req)
+            }
+            Err(e) => match e.response() {
+                Some(response) => response,
+                None => {
+                    self.metrics.count_dropped();
+                    return;
+                }
+            },
+        };
+        self.metrics.count_response(response.status);
+        let _ = response.write_to(stream);
+        self.metrics.observe_latency(start.elapsed());
     }
 
     /// Accepts connections and offers each to the bounded queue. When
@@ -1375,6 +1436,7 @@ impl Server {
             addr,
             items,
             metrics: ServerMetrics::new(),
+            quantiles: QuantileMemo::new(),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
             queue: ConnQueue::new(queue_depth),
@@ -1424,6 +1486,19 @@ impl ServerHandle {
     /// The bound port.
     pub fn port(&self) -> u16 {
         self.inner.addr.port()
+    }
+
+    /// Workers serving a connection right now, as `qrn_http_workers_busy`
+    /// reports it. Readable while every worker is blocked, when
+    /// `/metrics` cannot be served.
+    pub fn workers_busy(&self) -> u64 {
+        self.inner.metrics.workers_busy()
+    }
+
+    /// Accepted connections waiting for a worker, as
+    /// `qrn_http_queue_depth` reports it.
+    pub fn queue_depth(&self) -> usize {
+        self.inner.queue.len()
     }
 
     /// Raises the shutdown flag, as `POST /v1/shutdown` does. Returns

@@ -78,6 +78,7 @@ use qrn_fleet::event::SkipCounts;
 use qrn_fleet::ingest::{fold_states, FleetState, VehicleState};
 use qrn_fleet::FleetError;
 use qrn_stats::evidence::EvidenceLedger;
+use qrn_stats::special::QuantileMemo;
 
 /// Stripes in the vehicle registry. Enough that concurrent uploads from
 /// different vehicles rarely share a stripe lock; small enough to be
@@ -199,7 +200,8 @@ impl LedgerSnapshot {
     /// The burn-down report of this snapshot: byte-identical to
     /// [`burn_down_filtered`](qrn_fleet::burndown::burn_down_filtered)
     /// on a [`FleetState`] with the same ledger, counters and roster
-    /// size.
+    /// size, whatever `memo` already holds. Its Garwood quantiles go
+    /// through `memo`, which a server keeps for its lifetime.
     ///
     /// # Errors
     ///
@@ -210,9 +212,10 @@ impl LedgerSnapshot {
         allocation: &Allocation,
         config: &BurnDownConfig,
         filter: &ContextFilter,
+        memo: &QuantileMemo,
     ) -> Result<FleetReport, FleetError> {
         let mut report =
-            burn_down_evidence_filtered(norm, allocation, &self.evidence, config, filter)?;
+            burn_down_evidence_filtered(norm, allocation, &self.evidence, config, filter, memo)?;
         report.vehicles = self.vehicles;
         report.events = self.events;
         report.skipped = self.skipped;
@@ -606,7 +609,10 @@ mod tests {
             let allocation = paper_allocation(&classification).unwrap();
             let config = BurnDownConfig { by_zone: true, ..BurnDownConfig::default() };
             let filter = ContextFilter::all();
-            let live = state.snapshot().report(&norm, &allocation, &config, &filter).unwrap();
+            let live = state
+                .snapshot()
+                .report(&norm, &allocation, &config, &filter, &QuantileMemo::new())
+                .unwrap();
             let offline = burn_down_filtered(&norm, &allocation, &whole, &config, &filter).unwrap();
             prop_assert_eq!(live.to_canonical_json(), offline.to_canonical_json());
             prop_assert_eq!(state.lines(), whole.lines());

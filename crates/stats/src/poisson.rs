@@ -72,14 +72,14 @@ impl RateInterval {
 /// Garwood's upper endpoint `χ²(p; 2k + 2) / (2t)` for `k` (possibly
 /// effective, fractional) events over `t` hours, at upper-tail
 /// probability `p`. Every upper bound in this module comes from here.
-fn garwood_upper(k: f64, t: f64, p: f64, memo: &mut QuantileMemo) -> Result<Frequency, StatsError> {
+fn garwood_upper(k: f64, t: f64, p: f64, memo: &QuantileMemo) -> Result<Frequency, StatsError> {
     Frequency::per_hour(memo.chi_square_quantile(2.0 * k + 2.0, p)? / (2.0 * t))
         .map_err(StatsError::from)
 }
 
 /// Garwood's lower endpoint `χ²(p; 2k) / (2t)` at lower-tail probability
 /// `p`; exactly zero when no events were observed.
-fn garwood_lower(k: f64, t: f64, p: f64, memo: &mut QuantileMemo) -> Result<Frequency, StatsError> {
+fn garwood_lower(k: f64, t: f64, p: f64, memo: &QuantileMemo) -> Result<Frequency, StatsError> {
     if k == 0.0 {
         return Ok(Frequency::ZERO);
     }
@@ -131,7 +131,7 @@ impl PoissonRate {
         let alpha = 1.0 - confidence;
         let t = self.exposure.value();
         let k = self.count as f64;
-        let memo = &mut QuantileMemo::new();
+        let memo = &QuantileMemo::new();
         Ok(RateInterval {
             lower: garwood_lower(k, t, alpha / 2.0, memo)?,
             upper: garwood_upper(k, t, 1.0 - alpha / 2.0, memo)?,
@@ -148,7 +148,7 @@ impl PoissonRate {
     ///
     /// Returns [`StatsError`] for zero exposure or invalid confidence.
     pub fn upper_bound(&self, confidence: f64) -> Result<Frequency, StatsError> {
-        self.upper_bound_with(confidence, &mut QuantileMemo::new())
+        self.upper_bound_with(confidence, &QuantileMemo::new())
     }
 
     /// [`PoissonRate::upper_bound`] taking its quantile through `memo`:
@@ -161,7 +161,7 @@ impl PoissonRate {
     pub fn upper_bound_with(
         &self,
         confidence: f64,
-        memo: &mut QuantileMemo,
+        memo: &QuantileMemo,
     ) -> Result<Frequency, StatsError> {
         let confidence = check_confidence(confidence)?;
         self.require_exposure()?;
@@ -177,7 +177,7 @@ impl PoissonRate {
     ///
     /// Returns [`StatsError`] for zero exposure or invalid confidence.
     pub fn lower_bound(&self, confidence: f64) -> Result<Frequency, StatsError> {
-        self.lower_bound_with(confidence, &mut QuantileMemo::new())
+        self.lower_bound_with(confidence, &QuantileMemo::new())
     }
 
     /// [`PoissonRate::lower_bound`] taking its quantile through `memo`.
@@ -188,7 +188,7 @@ impl PoissonRate {
     pub fn lower_bound_with(
         &self,
         confidence: f64,
-        memo: &mut QuantileMemo,
+        memo: &QuantileMemo,
     ) -> Result<Frequency, StatsError> {
         let confidence = check_confidence(confidence)?;
         self.require_exposure()?;
@@ -429,7 +429,7 @@ impl WeightedPoissonRate {
         let alpha = 1.0 - confidence;
         let (k, t_eff) = self.effective();
         let t = t_eff.value();
-        let memo = &mut QuantileMemo::new();
+        let memo = &QuantileMemo::new();
         Ok(RateInterval {
             lower: garwood_lower(k, t, alpha / 2.0, memo)?,
             upper: garwood_upper(k, t, 1.0 - alpha / 2.0, memo)?,
@@ -444,7 +444,7 @@ impl WeightedPoissonRate {
     ///
     /// Returns [`StatsError`] for zero exposure or invalid confidence.
     pub fn upper_bound(&self, confidence: f64) -> Result<Frequency, StatsError> {
-        self.upper_bound_with(confidence, &mut QuantileMemo::new())
+        self.upper_bound_with(confidence, &QuantileMemo::new())
     }
 
     /// [`WeightedPoissonRate::upper_bound`] taking its quantile through
@@ -457,7 +457,7 @@ impl WeightedPoissonRate {
     pub fn upper_bound_with(
         &self,
         confidence: f64,
-        memo: &mut QuantileMemo,
+        memo: &QuantileMemo,
     ) -> Result<Frequency, StatsError> {
         let confidence = check_confidence(confidence)?;
         self.require_exposure()?;
@@ -475,7 +475,7 @@ impl WeightedPoissonRate {
     ///
     /// Returns [`StatsError`] for zero exposure or invalid confidence.
     pub fn lower_bound(&self, confidence: f64) -> Result<Frequency, StatsError> {
-        self.lower_bound_with(confidence, &mut QuantileMemo::new())
+        self.lower_bound_with(confidence, &QuantileMemo::new())
     }
 
     /// [`WeightedPoissonRate::lower_bound`] taking its quantile through
@@ -487,7 +487,7 @@ impl WeightedPoissonRate {
     pub fn lower_bound_with(
         &self,
         confidence: f64,
-        memo: &mut QuantileMemo,
+        memo: &QuantileMemo,
     ) -> Result<Frequency, StatsError> {
         let confidence = check_confidence(confidence)?;
         self.require_exposure()?;
@@ -1033,11 +1033,11 @@ mod tests {
         ) {
             let obs = PoissonRate::new(k, hours(t));
             let (upper, lower) = direct_bounds(k as f64, t, confidence);
-            let mut memo = QuantileMemo::new();
+            let memo = QuantileMemo::new();
             // The first call fills the memo, the second is served from it.
             for _ in 0..2 {
-                prop_assert_eq!(bits(obs.upper_bound_with(confidence, &mut memo).unwrap()), upper);
-                prop_assert_eq!(bits(obs.lower_bound_with(confidence, &mut memo).unwrap()), lower);
+                prop_assert_eq!(bits(obs.upper_bound_with(confidence, &memo).unwrap()), upper);
+                prop_assert_eq!(bits(obs.lower_bound_with(confidence, &memo).unwrap()), lower);
             }
             prop_assert_eq!(memo.len(), if k == 0 { 1 } else { 2 });
             prop_assert_eq!(bits(obs.upper_bound(confidence).unwrap()), upper);
@@ -1057,10 +1057,10 @@ mod tests {
             let obs = WeightedPoissonRate::new(count, hours(t));
             let (k_eff, t_eff) = obs.effective();
             let (upper, lower) = direct_bounds(k_eff, t_eff.value(), confidence);
-            let mut memo = QuantileMemo::new();
+            let memo = QuantileMemo::new();
             for _ in 0..2 {
-                prop_assert_eq!(bits(obs.upper_bound_with(confidence, &mut memo).unwrap()), upper);
-                prop_assert_eq!(bits(obs.lower_bound_with(confidence, &mut memo).unwrap()), lower);
+                prop_assert_eq!(bits(obs.upper_bound_with(confidence, &memo).unwrap()), upper);
+                prop_assert_eq!(bits(obs.lower_bound_with(confidence, &memo).unwrap()), lower);
             }
             prop_assert_eq!(memo.len(), 2);
             prop_assert_eq!(bits(obs.upper_bound(confidence).unwrap()), upper);
@@ -1074,7 +1074,7 @@ mod tests {
             bad_p in 1.0f64..10.0,
             bad_dof in -10.0f64..0.0,
         ) {
-            let mut memo = QuantileMemo::new();
+            let memo = QuantileMemo::new();
             let first = memo.chi_square_quantile(dof, p).unwrap();
             prop_assert_eq!(first.to_bits(), chi_square_quantile(dof, p).unwrap().to_bits());
             prop_assert_eq!(memo.chi_square_quantile(dof, p).unwrap().to_bits(), first.to_bits());

@@ -9,6 +9,8 @@
 //! (counts up to ~1e9, probabilities down to ~1e-15).
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::error::StatsError;
 
@@ -273,31 +275,87 @@ pub fn chi_square_quantile(dof: f64, p: f64) -> Result<f64, StatsError> {
     Ok(2.0 * gamma_p_inv(dof / 2.0, p)?)
 }
 
-/// A memo of [`chi_square_quantile`] results, keyed by the exact bit
-/// patterns of `(dof, p)`.
+/// Most distinct quantiles a [`QuantileMemo`] holds: two generations of
+/// `QUANTILE_MEMO_CAPACITY / 2` entries each.
+pub const QUANTILE_MEMO_CAPACITY: usize = 4096;
+
+/// Entries in one generation of a [`QuantileMemo`].
+const GENERATION_CAPACITY: usize = QUANTILE_MEMO_CAPACITY / 2;
+
+/// A bounded, shareable memo of [`chi_square_quantile`] results, keyed by
+/// the exact bit patterns of `(dof, p)`.
 ///
 /// Each quantile is a bisection of about 60 incomplete-gamma steps, while
 /// the event counts behind a burn-down report are small repeated
-/// integers: a report over many context rows asks for the same few
-/// quantiles again and again. A memo scoped to one such computation pays
-/// for each distinct input once. A hit returns the bits a fresh call
-/// would, because the key is the exact input; failed calls are not
-/// stored, so an erroring input errors every time.
+/// integers, and they rarely change between two reads of the same
+/// ledger. A memo shared by every computation that asks for those
+/// quantiles pays for each distinct input once. A hit returns the bits a
+/// fresh call would, because the key is the exact input; failed calls
+/// are not stored, so an erroring input errors every time.
+///
+/// The memo is `Sync`: lookups take `&self` and hold an internal lock
+/// only to read or insert, never while a quantile is computed, so
+/// threads sharing it never wait on each other's bisections. Two
+/// threads missing the same input at once both compute it, to the same
+/// bits. Memory is bounded by [`QUANTILE_MEMO_CAPACITY`] with
+/// two-generation eviction: when the current generation is full it
+/// becomes the previous one, and the old previous generation is
+/// dropped. A hit in the previous generation moves the entry back into
+/// the current one. An entry therefore survives at least
+/// `QUANTILE_MEMO_CAPACITY / 2` later insertions, so a computation that
+/// asks for fewer distinct quantiles than that never loses one of its
+/// own entries. Hit and miss counters record how often lookups were
+/// served.
 ///
 /// # Examples
 ///
 /// ```
 /// use qrn_stats::special::{chi_square_quantile, QuantileMemo};
 ///
-/// let mut memo = QuantileMemo::new();
+/// let memo = QuantileMemo::new();
 /// let q = memo.chi_square_quantile(6.0, 0.95).unwrap();
 /// assert_eq!(q.to_bits(), chi_square_quantile(6.0, 0.95).unwrap().to_bits());
 /// assert_eq!(memo.chi_square_quantile(6.0, 0.95).unwrap().to_bits(), q.to_bits());
 /// assert_eq!(memo.len(), 1);
+/// assert_eq!((memo.hits(), memo.misses()), (1, 1));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct QuantileMemo {
-    quantiles: HashMap<(u64, u64), f64>,
+    generations: Mutex<Generations>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+/// The two generations of a [`QuantileMemo`]; no key is in both.
+#[derive(Debug, Default)]
+struct Generations {
+    current: HashMap<(u64, u64), f64>,
+    previous: HashMap<(u64, u64), f64>,
+}
+
+impl Generations {
+    /// The stored quantile, promoted into the current generation when it
+    /// was found in the previous one.
+    fn get(&mut self, key: (u64, u64)) -> Option<f64> {
+        if let Some(&q) = self.current.get(&key) {
+            return Some(q);
+        }
+        let q = self.previous.remove(&key)?;
+        self.insert(key, q);
+        Some(q)
+    }
+
+    /// Stores `q` in the current generation, first retiring a full one.
+    fn insert(&mut self, key: (u64, u64), q: f64) {
+        if self.current.contains_key(&key) {
+            return;
+        }
+        self.previous.remove(&key);
+        if self.current.len() >= GENERATION_CAPACITY {
+            self.previous = std::mem::take(&mut self.current);
+        }
+        self.current.insert(key, q);
+    }
 }
 
 impl QuantileMemo {
@@ -306,30 +364,54 @@ impl QuantileMemo {
         QuantileMemo::default()
     }
 
+    /// The generations, even if a panicking thread poisoned the lock:
+    /// no code path leaves them inconsistent.
+    fn generations(&self) -> MutexGuard<'_, Generations> {
+        self.generations
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// [`chi_square_quantile`]`(dof, p)`, computed on the first request
-    /// for these exact inputs and recalled afterwards.
+    /// for these exact inputs and recalled afterwards while it stays in
+    /// the memo.
     ///
     /// # Errors
     ///
     /// As [`chi_square_quantile`]; the error is not remembered.
-    pub fn chi_square_quantile(&mut self, dof: f64, p: f64) -> Result<f64, StatsError> {
+    pub fn chi_square_quantile(&self, dof: f64, p: f64) -> Result<f64, StatsError> {
         let key = (dof.to_bits(), p.to_bits());
-        if let Some(&q) = self.quantiles.get(&key) {
+        if let Some(q) = self.generations().get(key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(q);
         }
+        self.misses.fetch_add(1, Ordering::Relaxed);
         let q = chi_square_quantile(dof, p)?;
-        self.quantiles.insert(key, q);
+        self.generations().insert(key, q);
         Ok(q)
     }
 
-    /// Number of distinct quantiles held.
+    /// Number of distinct quantiles held, at most
+    /// [`QUANTILE_MEMO_CAPACITY`].
     pub fn len(&self) -> usize {
-        self.quantiles.len()
+        let generations = self.generations();
+        generations.current.len() + generations.previous.len()
     }
 
-    /// True when no quantile has been computed yet.
+    /// True when no quantile is held.
     pub fn is_empty(&self) -> bool {
-        self.quantiles.is_empty()
+        self.len() == 0
+    }
+
+    /// Lookups served from the memo so far.
+    pub fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Lookups that had to compute their quantile so far, erroring ones
+    /// included.
+    pub fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
     }
 }
 
@@ -637,5 +719,69 @@ mod tests {
         assert!(beta_inc(0.0, 1.0, 0.5).is_err());
         assert!(beta_inc(1.0, 1.0, 1.5).is_err());
         assert!(chi_square_quantile(0.0, 0.5).is_err());
+    }
+
+    #[test]
+    fn memo_stays_bounded_and_keeps_recent_entries() {
+        let memo = QuantileMemo::new();
+        let inputs = QUANTILE_MEMO_CAPACITY + GENERATION_CAPACITY + 7;
+        for i in 0..inputs {
+            memo.chi_square_quantile(2.0 + i as f64, 0.5).unwrap();
+            assert!(memo.len() <= QUANTILE_MEMO_CAPACITY, "len {}", memo.len());
+        }
+        assert_eq!(memo.misses(), inputs as u64);
+        // The most recent half-capacity of inputs survived the two
+        // rotations; the oldest were dropped and are computed again.
+        for i in inputs - GENERATION_CAPACITY..inputs {
+            memo.chi_square_quantile(2.0 + i as f64, 0.5).unwrap();
+        }
+        assert_eq!(memo.hits(), GENERATION_CAPACITY as u64);
+        let q = memo.chi_square_quantile(2.0, 0.5).unwrap();
+        assert_eq!(memo.misses(), inputs as u64 + 1);
+        assert_eq!(
+            q.to_bits(),
+            chi_square_quantile(2.0, 0.5).unwrap().to_bits()
+        );
+    }
+
+    #[test]
+    fn memo_hit_in_the_previous_generation_survives_the_next_rotation() {
+        let memo = QuantileMemo::new();
+        memo.chi_square_quantile(1.0, 0.9).unwrap();
+        // Fill the rest of the first generation and rotate it out.
+        for i in 0..GENERATION_CAPACITY {
+            memo.chi_square_quantile(2.0 + i as f64, 0.9).unwrap();
+        }
+        // A hit in the previous generation moves the entry forward, so
+        // a second rotation does not drop it.
+        memo.chi_square_quantile(1.0, 0.9).unwrap();
+        for i in 0..GENERATION_CAPACITY {
+            memo.chi_square_quantile(1.0e4 + i as f64, 0.9).unwrap();
+        }
+        let misses = memo.misses();
+        memo.chi_square_quantile(1.0, 0.9).unwrap();
+        assert_eq!(memo.misses(), misses);
+    }
+
+    #[test]
+    fn memo_is_shared_across_threads() {
+        let memo = QuantileMemo::new();
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for k in 0..64 {
+                        let dof = 2.0 * f64::from(k) + 2.0;
+                        let q = memo.chi_square_quantile(dof, 0.95).unwrap();
+                        assert_eq!(
+                            q.to_bits(),
+                            chi_square_quantile(dof, 0.95).unwrap().to_bits()
+                        );
+                    }
+                });
+            }
+        });
+        assert_eq!(memo.len(), 64);
+        assert_eq!(memo.hits() + memo.misses(), 128);
+        assert!(memo.misses() >= 64);
     }
 }

@@ -22,6 +22,7 @@ use qrn::fleet::burndown::{
 use qrn::fleet::ingest::ingest_str;
 use qrn::fleet::telemetry::{Scenario, TelemetryConfig};
 use qrn::stats::evidence::EvidenceLedger;
+use qrn::stats::special::QuantileMemo;
 use qrn::units::{Hours, Speed};
 
 /// The banded fleet log: six vehicles over 4096 h, with a few injected
@@ -95,9 +96,16 @@ fn render_merged(sequential: bool, clauses: &[&str]) -> String {
     let state = ingest_str(&banded_log(), &classification, 2).unwrap();
     let evidence = state.evidence().clone().merged(&campaign_ledger());
     let filter = ContextFilter::parse(clauses).unwrap();
-    burn_down_evidence_filtered(&norm, &allocation, &evidence, &config(sequential), &filter)
-        .unwrap()
-        .to_canonical_json()
+    burn_down_evidence_filtered(
+        &norm,
+        &allocation,
+        &evidence,
+        &config(sequential),
+        &filter,
+        &QuantileMemo::new(),
+    )
+    .unwrap()
+    .to_canonical_json()
 }
 
 fn assert_golden(name: &str, actual: &str) {

@@ -15,6 +15,7 @@ use qrn::sim::policy::{CautiousPolicy, ReactivePolicy};
 use qrn::sim::scenario::urban_scenario;
 use qrn::sim::SplittingConfig;
 use qrn::stats::evidence::EvidenceLedger;
+use qrn::stats::special::QuantileMemo;
 use qrn::units::Hours;
 
 /// The combined design-time + operational burn-down artefact is a pure
@@ -62,6 +63,7 @@ fn combined_burn_down_artefact_is_byte_stable() {
             &combined,
             &config,
             &ContextFilter::all(),
+            &QuantileMemo::new(),
         )
         .unwrap();
         serde_json::to_string_pretty(&report).unwrap()

@@ -6,17 +6,20 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use qrn::core::examples::{paper_allocation, paper_classification, paper_norm};
+use qrn::core::incident::IncidentRecord;
+use qrn::core::object::{Involvement, ObjectType};
 use qrn::fleet::burndown::{
     burn_down, burn_down_filtered, BurnDownConfig, ContextFilter, FleetReport,
 };
+use qrn::fleet::event::{to_jsonl, FleetEvent};
 use qrn::fleet::ingest::{ingest_str, FleetState};
 use qrn::fleet::telemetry::{Scenario, TelemetryConfig};
 use qrn::serve::{ServeConfig, Server};
 use qrn::stats::prometheus::validate_exposition;
-use qrn::units::Hours;
+use qrn::units::{Hours, Speed};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("qrn-serve-e2e-{tag}"));
@@ -317,14 +320,19 @@ fn full_queue_sheds_load_with_429() {
     let addr = handle.addr();
 
     // Occupy the single worker with a held-open connection (no request
-    // head yet), give the worker time to claim it, then fill the
-    // one-slot queue with a second held connection.
+    // head yet), wait until the worker has claimed it, then fill the
+    // one-slot queue with a second held connection. The lone worker is
+    // blocked, so the gauges are read through the handle, not /metrics.
     let mut held_a = TcpStream::connect(addr).unwrap();
     held_a.write_all(b"GET /healthz").unwrap();
-    std::thread::sleep(Duration::from_millis(300));
+    wait_until("the worker holds the first connection", || {
+        handle.workers_busy() == 1
+    });
     let mut held_b = TcpStream::connect(addr).unwrap();
     held_b.write_all(b"GET /healthz").unwrap();
-    std::thread::sleep(Duration::from_millis(300));
+    wait_until("the second connection is queued", || {
+        handle.queue_depth() == 1
+    });
 
     // Worker busy + queue full: the accept thread itself answers 429.
     let (status, body) = get(addr, "/healthz");
@@ -342,13 +350,134 @@ fn full_queue_sheds_load_with_429() {
     assert!(reply.starts_with("HTTP/1.1 200 "), "{reply}");
     assert_eq!(get(addr, "/healthz").0, 200);
 
-    // The shed connection is visible in the metrics.
+    // The shed connection is visible in the metrics, and the backlog is
+    // gone: only the scrape itself holds the worker.
     let (_, metrics) = get(addr, "/metrics");
     assert!(
         metrics.contains("qrn_http_rejected_total{reason=\"queue_full\"} 1"),
         "{metrics}"
     );
+    assert!(metrics.contains("qrn_http_workers_busy 1\n"), "{metrics}");
+    assert!(metrics.contains("qrn_http_queue_depth 0\n"), "{metrics}");
     handle.stop().unwrap();
+}
+
+/// Spins until `holds` is true; panics naming `what` after ten seconds.
+fn wait_until(what: &str, holds: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !holds() {
+        assert!(Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::yield_now();
+    }
+}
+
+/// The server's quantile-memo lookups so far, `(hits, misses)`, read from
+/// `/metrics` (whose own report adds its lookups first).
+fn memo_lookups(addr: SocketAddr) -> (u64, u64) {
+    let (status, metrics) = get(addr, "/metrics");
+    assert_eq!(status, 200, "{metrics}");
+    let sample = |result: &str| -> u64 {
+        let name = format!("qrn_quantile_memo_lookups_total{{result=\"{result}\"}} ");
+        metrics
+            .lines()
+            .find_map(|line| line.strip_prefix(name.as_str()))
+            .unwrap_or_else(|| panic!("no {name} sample in\n{metrics}"))
+            .parse()
+            .unwrap()
+    };
+    (sample("hit"), sample("miss"))
+}
+
+#[test]
+fn repeated_reads_compute_no_quantile_until_a_count_changes() {
+    let (config, _) = test_config("quantile-memo");
+    let handle = Server::start(config).unwrap();
+    let addr = handle.addr();
+    assert_eq!(post(addr, "/v1/ingest", &segments()[0]).0, 200);
+    assert_eq!(get(addr, "/v1/burndown").0, 200);
+    let (_, misses) = memo_lookups(addr);
+    assert!(misses > 0);
+
+    // No upload in between: every quantile of the second read, and of
+    // the scrapes, is served from the server's memo.
+    assert_eq!(get(addr, "/v1/burndown").0, 200);
+    let (hits, repeat_misses) = memo_lookups(addr);
+    assert_eq!(
+        repeat_misses, misses,
+        "an unchanged read computed quantiles"
+    );
+    assert!(hits > 0);
+
+    // A new incident changes one goal's count, so its bounds are new
+    // inputs; exposure alone would not be.
+    let incident = FleetEvent::Incident {
+        vehicle: "V-new".into(),
+        record: IncidentRecord::collision(
+            Involvement::ego_with(ObjectType::Vru),
+            Speed::from_kmh(30.0).unwrap(),
+        ),
+    };
+    let (status, body) = post(addr, "/v1/ingest", &to_jsonl(&[incident]));
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"segment_events\": 1"), "{body}");
+    assert_eq!(get(addr, "/v1/burndown").0, 200);
+    let (_, new_misses) = memo_lookups(addr);
+    assert!(new_misses > misses, "{new_misses} <= {misses}");
+    handle.stop().unwrap();
+}
+
+/// A scrape body without its timing samples (uptime and request
+/// latency), which differ between any two servers.
+fn untimed(metrics: &str) -> String {
+    metrics
+        .lines()
+        .filter(|line| {
+            !line.starts_with("qrn_server_uptime_seconds ")
+                && !line.starts_with("qrn_http_request_seconds")
+        })
+        .map(|line| format!("{line}\n"))
+        .collect()
+}
+
+#[test]
+fn metrics_scrape_computes_no_context_rows() {
+    let segments: Vec<String> = [31u64, 32]
+        .iter()
+        .map(|&seed| {
+            TelemetryConfig::new(4)
+                .hours(Hours::new(64.0).unwrap())
+                .scenario(Scenario::Banded)
+                .seed(seed)
+                .generate_jsonl()
+                .unwrap()
+        })
+        .collect();
+    // The same uploads to a plain and a by-context server: a scrape
+    // renders only goal and class rows, so neither computes context
+    // rows, and the memo counters agree too.
+    let scrapes: Vec<String> = [false, true]
+        .iter()
+        .map(|&by_context| {
+            let (mut config, _) = test_config(&format!("scrape-by-context-{by_context}"));
+            config.burndown.by_zone = by_context;
+            let handle = Server::start(config).unwrap();
+            let addr = handle.addr();
+            for segment in &segments {
+                let (status, body) = post(addr, "/v1/ingest", segment);
+                assert_eq!(status, 200, "{body}");
+            }
+            let (status, metrics) = get(addr, "/metrics");
+            assert_eq!(status, 200, "{metrics}");
+            handle.stop().unwrap();
+            untimed(&metrics)
+        })
+        .collect();
+    assert!(
+        scrapes[0].contains("qrn_goal_budget_consumed"),
+        "{}",
+        scrapes[0]
+    );
+    assert_eq!(scrapes[0], scrapes[1]);
 }
 
 #[test]
@@ -381,6 +510,7 @@ fn zone_queries_serve_refinement_rows() {
             ..BurnDownConfig::default()
         },
         &qrn::fleet::burndown::ContextFilter::all(),
+        &qrn::stats::special::QuantileMemo::new(),
     )
     .unwrap();
     assert_eq!(
