@@ -31,36 +31,29 @@ pub struct Request {
 }
 
 impl Request {
-    /// The value of one `key=value` query parameter, when present.
-    /// Minimal percent-decoding (`%xx` and `+` for space) is applied to
-    /// the value — context keys and zone names are the only realistic
-    /// use.
-    pub fn query_param(&self, key: &str) -> Option<String> {
-        let query = self.query.as_deref()?;
-        for pair in query.split('&') {
-            let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
-            if k == key {
-                return Some(percent_decode(v));
-            }
-        }
-        None
+    /// Every `key=value` query parameter, in query order (duplicates
+    /// preserved), with minimal percent-decoding (`%xx` and `+` for
+    /// space) applied to key and value alike. Handlers validate and look
+    /// up keys through this one iterator, so an encoded key such as
+    /// `%77here` is the key `where` for both, and a typo like
+    /// `?zonee=urban` can be rejected instead of silently ignored.
+    pub fn query_pairs(&self) -> impl Iterator<Item = (String, String)> + '_ {
+        let query = self.query.as_deref().filter(|query| !query.is_empty());
+        query
+            .into_iter()
+            .flat_map(|query| query.split('&'))
+            .map(|pair| {
+                let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
+                (percent_decode(k), percent_decode(v))
+            })
     }
 
-    /// The keys of every query parameter, in query order (duplicates
-    /// preserved). Lets handlers reject unknown parameters instead of
-    /// silently ignoring a typo like `?zonee=urban`.
-    pub fn query_keys(&self) -> Vec<String> {
-        match self.query.as_deref() {
-            None => Vec::new(),
-            Some("") => Vec::new(),
-            Some(query) => query
-                .split('&')
-                .map(|pair| {
-                    let (k, _) = pair.split_once('=').unwrap_or((pair, ""));
-                    percent_decode(k)
-                })
-                .collect(),
-        }
+    /// The decoded value of the first query parameter whose decoded key
+    /// is `key`, when present.
+    pub fn query_param(&self, key: &str) -> Option<String> {
+        self.query_pairs()
+            .find(|(k, _)| k == key)
+            .map(|(_, value)| value)
     }
 }
 
@@ -215,7 +208,7 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
         )));
     }
 
-    let mut content_length: usize = 0;
+    let mut content_length: Option<usize> = None;
     let mut expect_continue = false;
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
@@ -225,15 +218,27 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
         let value = value.trim();
         match name.as_str() {
             "content-length" => {
-                content_length = value.parse().map_err(|_| {
-                    RequestError::BadRequest(format!("bad Content-Length {value:?}"))
-                })?;
+                // Only `1*DIGIT`, and a repeat only with the same value:
+                // behind a proxy, a sign or two different lengths would
+                // let the two ends frame the body differently.
+                let digits = value.bytes().all(|b| b.is_ascii_digit());
+                match value.parse::<usize>() {
+                    Ok(length) if digits && content_length.is_none_or(|seen| seen == length) => {
+                        content_length = Some(length);
+                    }
+                    _ => {
+                        return Err(RequestError::BadRequest(format!(
+                            "bad or conflicting Content-Length {value:?}"
+                        )))
+                    }
+                }
             }
             "transfer-encoding" => return Err(RequestError::LengthRequired),
             "expect" => expect_continue = value.eq_ignore_ascii_case("100-continue"),
             _ => {}
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > max_body {
         return Err(RequestError::BodyTooLarge {
             declared: content_length,
@@ -373,11 +378,16 @@ mod tests {
 
     #[test]
     fn parses_get_with_query() {
-        let req =
-            parse_bytes(b"GET /v1/burndown?zone=urban%20core HTTP/1.1\r\n\r\n", 1024).unwrap();
+        let req = parse_bytes(
+            b"GET /v1/burndown?zone=urban%20core&%77here=a+b HTTP/1.1\r\n\r\n",
+            1024,
+        )
+        .unwrap();
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/v1/burndown");
         assert_eq!(req.query_param("zone").as_deref(), Some("urban core"));
+        // Keys decode as values do.
+        assert_eq!(req.query_param("where").as_deref(), Some("a b"));
         assert!(req.body.is_empty());
     }
 
@@ -407,6 +417,32 @@ mod tests {
             other => panic!("expected BodyTooLarge, got {other:?}"),
         }
         assert_eq!(err.response().unwrap().status, 413);
+    }
+
+    #[test]
+    fn conflicting_or_signed_content_length_is_bad_request() {
+        for head in [
+            "Content-Length: 2\r\nContent-Length: 5",
+            "Content-Length: +5",
+            "Content-Length: -5",
+            "Content-Length: 5 5",
+            "Content-Length: ",
+        ] {
+            let raw = format!("POST /v1/ingest HTTP/1.1\r\n{head}\r\n\r\nhello");
+            let err = parse_bytes(raw.as_bytes(), 1024).unwrap_err();
+            assert!(
+                matches!(err, RequestError::BadRequest(_)),
+                "{head}: {err:?}"
+            );
+            assert_eq!(err.response().unwrap().status, 400, "{head}");
+        }
+        // A repeat with the identical value frames the body the same.
+        let req = parse_bytes(
+            b"POST /v1/ingest HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 05\r\n\r\nhello",
+            1024,
+        )
+        .unwrap();
+        assert_eq!(req.body, b"hello");
     }
 
     #[test]

@@ -22,14 +22,16 @@ pub const LATENCY_BUCKETS: [f64; 8] = [0.001, 0.005, 0.025, 0.1, 0.25, 1.0, 5.0,
 /// these. Item-addressed routes collapse onto `{item}` placeholders so
 /// the label cardinality stays fixed no matter how many items a server
 /// hosts.
-pub const ROUTE_LABELS: [&str; 8] = [
+pub const ROUTE_LABELS: [&str; 10] = [
     "/healthz",
     "/metrics",
     "/v1/ingest",
     "/v1/burndown",
+    "/v1/history",
     "/v1/shutdown",
     "/v1/{item}/ingest",
     "/v1/{item}/burndown",
+    "/v1/{item}/history",
     "other",
 ];
 
@@ -37,23 +39,21 @@ pub const ROUTE_LABELS: [&str; 8] = [
 /// `other` slot.
 pub const STATUS_CODES: [u16; 10] = [200, 400, 404, 405, 408, 411, 413, 429, 431, 500];
 
-/// Maps a request path to its [`ROUTE_LABELS`] index.
+/// Maps a request path to its [`ROUTE_LABELS`] index: `/v1/<item>/<endpoint>`
+/// matches its `{item}` label, any other path its exact label.
 fn route_index(path: &str) -> usize {
-    if let Some(exact) = ROUTE_LABELS[..5].iter().position(|&label| label == path) {
-        return exact;
-    }
-    if let Some(rest) = path.strip_prefix("/v1/") {
-        if let Some((item, endpoint)) = rest.split_once('/') {
-            if !item.is_empty() {
-                match endpoint {
-                    "ingest" => return 5,
-                    "burndown" => return 6,
-                    _ => {}
-                }
-            }
-        }
-    }
-    ROUTE_LABELS.len() - 1
+    let item_endpoint = path
+        .strip_prefix("/v1/")
+        .and_then(|rest| rest.split_once('/'))
+        .filter(|(item, _)| !item.is_empty())
+        .map(|(_, endpoint)| endpoint);
+    ROUTE_LABELS
+        .iter()
+        .position(|&label| match item_endpoint {
+            Some(endpoint) => label.strip_prefix("/v1/{item}/") == Some(endpoint),
+            None => label == path,
+        })
+        .unwrap_or(ROUTE_LABELS.len() - 1)
 }
 
 /// Maps a status code to its slot in the per-status array (the last slot
@@ -142,11 +142,6 @@ impl ServerMetrics {
     /// Workers serving a connection right now.
     pub fn workers_busy(&self) -> u64 {
         self.workers_busy.load(Ordering::Relaxed)
-    }
-
-    /// Number of checkpoints written so far.
-    pub fn checkpoints(&self) -> u64 {
-        self.checkpoints_written.load(Ordering::Relaxed)
     }
 
     /// Records one request's wall-clock service time.
@@ -335,7 +330,6 @@ mod tests {
         // map-based counters did.
         assert!(!body.contains("route=\"/metrics\""), "{body}");
         assert!(!body.contains("status=\"500\""), "{body}");
-        assert_eq!(m.checkpoints(), 1);
     }
 
     #[test]
@@ -350,6 +344,14 @@ mod tests {
             ROUTE_LABELS[route_index("/v1/highway/burndown")],
             "/v1/{item}/burndown"
         );
+        assert_eq!(ROUTE_LABELS[route_index("/v1/history")], "/v1/history");
+        assert_eq!(
+            ROUTE_LABELS[route_index("/v1/vru/history")],
+            "/v1/{item}/history"
+        );
+        assert_eq!(ROUTE_LABELS[route_index("/v1/shutdown")], "/v1/shutdown");
+        assert_eq!(ROUTE_LABELS[route_index("/v1/vru/shutdown")], "other");
+        assert_eq!(ROUTE_LABELS[route_index("/v1/vru/")], "other");
         assert_eq!(ROUTE_LABELS[route_index("/v1//ingest")], "other");
         assert_eq!(ROUTE_LABELS[route_index("/v1/a/b/ingest")], "other");
         assert_eq!(ROUTE_LABELS[route_index("/favicon.ico")], "other");

@@ -89,7 +89,7 @@ use serde::{Deserialize, Serialize};
 use qrn_core::allocation::Allocation;
 use qrn_core::norm::QuantitativeRiskNorm;
 use qrn_core::IncidentClassification;
-use qrn_fleet::burndown::{BurnDownConfig, ContextFilter, FleetReport};
+use qrn_fleet::burndown::{AlertLevel, BurnDownConfig, ContextFilter, FleetReport, GoalBurnDown};
 use qrn_fleet::checkpoint;
 use qrn_fleet::event::SkipCounts;
 use qrn_fleet::ingest::{ingest_str, FleetState};
@@ -97,7 +97,10 @@ use qrn_fleet::looks::LookBook;
 use qrn_stats::evidence::EvidenceLedger;
 use qrn_stats::prometheus::{render_ledgers, MetricKind, TextFamilies};
 use qrn_stats::special::QuantileMemo;
-use qrn_store::{AppendHook, AppendReceipt, Store, StoreConfig, StoreReader, StoreWriterHandle};
+use qrn_store::{
+    AppendHook, AppendReceipt, Store, StoreConfig, StoreReader, StoreStats, StoreWriterHandle,
+};
+use MetricKind::{Counter, Gauge};
 
 use crate::http::{read_request, Request, Response};
 use crate::metrics::ServerMetrics;
@@ -427,6 +430,97 @@ struct BurndownQuery {
     filter: ContextFilter,
 }
 
+/// Where an item-labelled `/metrics` family takes its samples from.
+#[derive(Clone, Copy)]
+enum Source {
+    /// One counter of the item's evidence view.
+    Count(fn(&LedgerSnapshot) -> u64),
+    /// The tolerant parser's skip tallies, one sample per reason.
+    Skipped,
+    /// One of the store writer's published counters. The family is
+    /// rendered only with `--store`.
+    Store(fn(&StoreStats) -> &AtomicU64),
+    /// One column of every goal row. Reading it is *not* a look: the
+    /// SPRT is not consulted for a decision, the last burn-down's
+    /// counters are re-exposed.
+    Goal(fn(&GoalBurnDown, &LookBook) -> Value),
+    /// A goal column only sequential reports carry. The family is
+    /// rendered only in sequential mode.
+    SequentialGoal(fn(&GoalBurnDown) -> Option<f64>),
+    /// The `consumed` column of every consequence-class row.
+    ClassConsumed,
+    /// The evidence-ledger gauges under this prefix, through
+    /// [`render_ledgers`], over the same merged view burn-down sees.
+    Ledgers,
+}
+
+/// One sample value: a float, or a count rendered through the integer
+/// path.
+#[derive(Clone, Copy)]
+enum Value {
+    Float(f64),
+    Count(u64),
+}
+
+/// One item-labelled `/metrics` family: name, kind, sample source and
+/// help text.
+struct Family(&'static str, MetricKind, Source, &'static str);
+
+/// Every item-labelled `/metrics` family, in exposition order. A scrape
+/// writes each family's `HELP`/`TYPE` header once and then every item's
+/// samples, so each family is contiguous and carries an `item` label by
+/// construction; a new family is a new row.
+#[rustfmt::skip]
+const ITEM_FAMILIES: [Family; 18] = [
+    Family("qrn_fleet_lines_total", Counter, Source::Count(|view| view.lines),
+        "Telemetry lines offered to the parser"),
+    Family("qrn_fleet_events_total", Counter, Source::Count(|view| view.events),
+        "Telemetry events accepted"),
+    Family("qrn_fleet_vehicles", Gauge, Source::Count(|view| view.vehicles),
+        "Distinct vehicles that reported"),
+    Family("qrn_fleet_skipped_lines_total", Counter, Source::Skipped,
+        "Telemetry lines skipped by the tolerant parser, by reason"),
+    Family("qrn_store_segments_total", Counter, Source::Store(|s| &s.segments_created),
+        "Evidence-store segment files created (rolls and compactions)"),
+    Family("qrn_store_appended_bytes_total", Counter, Source::Store(|s| &s.appended_bytes),
+        "Record bytes appended to the evidence store"),
+    Family("qrn_store_duplicates_rejected_total", Counter, Source::Store(|s| &s.duplicates),
+        "Duplicate sequenced telemetry lines rejected by store screening"),
+    Family("qrn_store_gaps_detected_total", Counter, Source::Store(|s| &s.gap_events),
+        "Sequence gaps detected in ingested telemetry"),
+    Family("qrn_store_compactions_total", Counter, Source::Store(|s| &s.compactions),
+        "Evidence-store compactions performed"),
+    Family("qrn_store_group_commits_total", Counter, Source::Store(|s| &s.group_commits),
+        "Evidence-store group commits (one fsync each, per item)"),
+    Family("qrn_store_group_commit_size", Gauge, Source::Store(|s| &s.last_group_commit_size),
+        "Batches covered by the most recent group commit"),
+    Family("qrn_evidence", Gauge, Source::Ledgers,
+        "Prefix of the evidence-ledger families render_ledgers writes"),
+    Family("qrn_goal_budget_consumed", Gauge, Source::Goal(|goal, _| Value::Float(goal.consumed)),
+        "Point-estimate share of each safety goal's frequency budget"),
+    Family("qrn_goal_alert_level", Gauge, Source::Goal(alert_level),
+        "Alert level per goal: 0 ok, 1 watch, 2 burned"),
+    Family("qrn_goal_sprt_looks_total", Counter,
+        Source::Goal(|goal, looks| Value::Count(looks.looks(goal.incident.as_str()))),
+        "Completed SPRT looks per goal (burn-down evaluations served)"),
+    Family("qrn_goal_e_value", Gauge, Source::SequentialGoal(|goal| goal.e_value),
+        "Running budget e-process value per goal (anytime-valid; reaching 1/alpha rejects the budget)"),
+    Family("qrn_goal_seq_upper", Gauge,
+        Source::SequentialGoal(|goal| goal.seq_upper.map(|rate| rate.as_per_hour())),
+        "Upper endpoint of the anytime-valid confidence sequence on each goal's rate, per hour"),
+    Family("qrn_class_budget_consumed", Gauge, Source::ClassConsumed,
+        "Point-estimate share of each consequence-class budget"),
+];
+
+/// The `qrn_goal_alert_level` sample of one goal row.
+fn alert_level(goal: &GoalBurnDown, _: &LookBook) -> Value {
+    Value::Count(match goal.alert {
+        AlertLevel::Ok => 0,
+        AlertLevel::Watch => 1,
+        AlertLevel::Burned => 2,
+    })
+}
+
 /// Everything threads share.
 struct Inner {
     config: ServeConfig,
@@ -621,7 +715,7 @@ impl Inner {
     /// the refinement rows to contexts matching every comma-separated
     /// `dim=value` clause.
     fn parse_burndown_query(req: &Request) -> Result<BurndownQuery, Response> {
-        for key in req.query_keys() {
+        for (key, _) in req.query_pairs() {
             if !matches!(key.as_str(), "as_of" | "context" | "zone" | "where") {
                 return Err(Response::text(
                     400,
@@ -809,17 +903,10 @@ impl Inner {
         // with the item label varying inside it — the exposition format
         // requires a family's samples to be contiguous.
         struct ItemView<'a> {
-            item: &'a Item,
+            name: &'a str,
             evidence: LedgerSnapshot,
             looks: LookBook,
-        }
-        let mut views = Vec::with_capacity(self.items.len());
-        for item in &self.items {
-            views.push(ItemView {
-                item,
-                evidence: Self::evidence_view(item, item.state.snapshot()),
-                looks: item.looks.lock().expect("look mutex poisoned").clone(),
-            });
+            report: FleetReport,
         }
         // A scrape renders only the goal and class rows, so it computes
         // no context rows, whatever the server's configured report holds.
@@ -827,16 +914,13 @@ impl Inner {
             by_zone: false,
             ..self.config.burndown
         };
-        let mut reports = Vec::with_capacity(views.len());
-        for view in &views {
-            match self.compute_report(
-                view.item,
-                &view.evidence,
-                &scrape_config,
-                &ContextFilter::all(),
-                None,
-            ) {
-                Ok(report) => reports.push(report),
+        let mut views = Vec::with_capacity(self.items.len());
+        for item in &self.items {
+            let evidence = Self::evidence_view(item, item.state.snapshot());
+            let looks = item.looks.lock().expect("look mutex poisoned").clone();
+            let all = ContextFilter::all();
+            let report = match self.compute_report(item, &evidence, &scrape_config, &all, None) {
+                Ok(report) => report,
                 Err(e) => {
                     return Response::text(
                         500,
@@ -844,7 +928,13 @@ impl Inner {
                         &format!("metrics failed: {e}"),
                     )
                 }
-            }
+            };
+            views.push(ItemView {
+                name: &item.config.name,
+                evidence,
+                looks,
+                report,
+            });
         }
 
         let mut out = TextFamilies::new();
@@ -882,260 +972,73 @@ impl Inner {
             );
         }
 
-        out.family(
-            "qrn_fleet_lines_total",
-            "Telemetry lines offered to the parser",
-            MetricKind::Counter,
-        );
-        for view in &views {
-            out.sample_u64(
-                "qrn_fleet_lines_total",
-                &[("item", &view.item.config.name)],
-                view.evidence.lines,
-            );
-        }
-        out.family(
-            "qrn_fleet_events_total",
-            "Telemetry events accepted",
-            MetricKind::Counter,
-        );
-        for view in &views {
-            out.sample_u64(
-                "qrn_fleet_events_total",
-                &[("item", &view.item.config.name)],
-                view.evidence.events,
-            );
-        }
-        out.family(
-            "qrn_fleet_vehicles",
-            "Distinct vehicles that reported",
-            MetricKind::Gauge,
-        );
-        for view in &views {
-            out.sample_u64(
-                "qrn_fleet_vehicles",
-                &[("item", &view.item.config.name)],
-                view.evidence.vehicles,
-            );
-        }
-        out.family(
-            "qrn_fleet_skipped_lines_total",
-            "Telemetry lines skipped by the tolerant parser, by reason",
-            MetricKind::Counter,
-        );
-        for view in &views {
-            let skipped = view.evidence.skipped;
-            for (reason, count) in [
-                ("bad_json", skipped.bad_json),
-                ("not_an_object", skipped.not_an_object),
-                ("unsupported_version", skipped.unsupported_version),
-                ("unknown_kind", skipped.unknown_kind),
-                ("missing_field", skipped.missing_field),
-                ("invalid_value", skipped.invalid_value),
-            ] {
-                out.sample_u64(
-                    "qrn_fleet_skipped_lines_total",
-                    &[("item", &view.item.config.name), ("reason", reason)],
-                    count,
-                );
+        for &Family(name, kind, source, help) in &ITEM_FAMILIES {
+            match source {
+                Source::Ledgers => {
+                    let ledgers: Vec<(&str, &EvidenceLedger)> = views
+                        .iter()
+                        .map(|view| (view.name, &view.evidence.evidence))
+                        .collect();
+                    render_ledgers(&mut out, name, &ledgers);
+                    continue;
+                }
+                Source::Store(_) if self.store.is_none() => continue,
+                Source::SequentialGoal(_) if !self.config.burndown.sequential => continue,
+                _ => {
+                    out.family(name, help, kind);
+                }
             }
-        }
-
-        // Evidence-store counters, sampled from the writer thread's
-        // lock-free published stats (absent without --store).
-        if let Some(writer) = &self.store {
-            let sample_all =
-                |out: &mut TextFamilies,
-                 name: &str,
-                 value: fn(&qrn_store::StoreStats) -> &AtomicU64| {
-                    for view in &views {
-                        if let Some(stats) = writer.stats(&view.item.config.name) {
-                            out.sample_u64(
+            for view in &views {
+                let item = ("item", view.name);
+                match source {
+                    Source::Count(value) => {
+                        out.sample_u64(name, &[item], value(&view.evidence));
+                    }
+                    Source::Skipped => {
+                        let skipped = view.evidence.skipped;
+                        for (reason, count) in [
+                            ("bad_json", skipped.bad_json),
+                            ("not_an_object", skipped.not_an_object),
+                            ("unsupported_version", skipped.unsupported_version),
+                            ("unknown_kind", skipped.unknown_kind),
+                            ("missing_field", skipped.missing_field),
+                            ("invalid_value", skipped.invalid_value),
+                        ] {
+                            out.sample_u64(name, &[item, ("reason", reason)], count);
+                        }
+                    }
+                    Source::Store(value) => {
+                        if let Some(stats) = self.store.as_ref().and_then(|w| w.stats(item.1)) {
+                            out.sample_u64(name, &[item], value(stats).load(Ordering::Relaxed));
+                        }
+                    }
+                    Source::Goal(value) => {
+                        for goal in &view.report.goals {
+                            let labels = [item, ("goal", goal.incident.as_str())];
+                            match value(goal, &view.looks) {
+                                Value::Float(v) => out.sample(name, &labels, v),
+                                Value::Count(v) => out.sample_u64(name, &labels, v),
+                            };
+                        }
+                    }
+                    Source::SequentialGoal(value) => {
+                        for goal in &view.report.goals {
+                            if let Some(v) = value(goal) {
+                                out.sample(name, &[item, ("goal", goal.incident.as_str())], v);
+                            }
+                        }
+                    }
+                    Source::ClassConsumed => {
+                        for class in &view.report.classes {
+                            out.sample(
                                 name,
-                                &[("item", &view.item.config.name)],
-                                value(stats).load(Ordering::Relaxed),
+                                &[item, ("class", class.class.as_str())],
+                                class.consumed,
                             );
                         }
                     }
-                };
-            out.family(
-                "qrn_store_segments_total",
-                "Evidence-store segment files created (rolls and compactions)",
-                MetricKind::Counter,
-            );
-            sample_all(&mut out, "qrn_store_segments_total", |s| {
-                &s.segments_created
-            });
-            out.family(
-                "qrn_store_appended_bytes_total",
-                "Record bytes appended to the evidence store",
-                MetricKind::Counter,
-            );
-            sample_all(&mut out, "qrn_store_appended_bytes_total", |s| {
-                &s.appended_bytes
-            });
-            out.family(
-                "qrn_store_duplicates_rejected_total",
-                "Duplicate sequenced telemetry lines rejected by store screening",
-                MetricKind::Counter,
-            );
-            sample_all(&mut out, "qrn_store_duplicates_rejected_total", |s| {
-                &s.duplicates
-            });
-            out.family(
-                "qrn_store_gaps_detected_total",
-                "Sequence gaps detected in ingested telemetry",
-                MetricKind::Counter,
-            );
-            sample_all(&mut out, "qrn_store_gaps_detected_total", |s| &s.gap_events);
-            out.family(
-                "qrn_store_compactions_total",
-                "Evidence-store compactions performed",
-                MetricKind::Counter,
-            );
-            sample_all(&mut out, "qrn_store_compactions_total", |s| &s.compactions);
-            out.family(
-                "qrn_store_group_commits_total",
-                "Evidence-store group commits (one fsync each, per item)",
-                MetricKind::Counter,
-            );
-            sample_all(&mut out, "qrn_store_group_commits_total", |s| {
-                &s.group_commits
-            });
-            out.family(
-                "qrn_store_group_commit_size",
-                "Batches covered by the most recent group commit",
-                MetricKind::Gauge,
-            );
-            sample_all(&mut out, "qrn_store_group_commit_size", |s| {
-                &s.last_group_commit_size
-            });
-        }
-
-        // Evidence gauges over the same merged view burn-down sees, one
-        // `item` label per served item.
-        let ledgers: Vec<(&str, &EvidenceLedger)> = views
-            .iter()
-            .map(|view| (view.item.config.name.as_str(), &view.evidence.evidence))
-            .collect();
-        render_ledgers(&mut out, "qrn_evidence", &ledgers);
-
-        // Goal/class burn-down gauges. Reading metrics is *not* a look:
-        // the SPRT is not consulted for a decision here, the last
-        // burn-down's counters are simply re-exposed.
-        out.family(
-            "qrn_goal_budget_consumed",
-            "Point-estimate share of each safety goal's frequency budget",
-            MetricKind::Gauge,
-        );
-        for (view, report) in views.iter().zip(&reports) {
-            for goal in &report.goals {
-                out.sample(
-                    "qrn_goal_budget_consumed",
-                    &[
-                        ("item", &view.item.config.name),
-                        ("goal", goal.incident.as_str()),
-                    ],
-                    goal.consumed,
-                );
-            }
-        }
-        out.family(
-            "qrn_goal_alert_level",
-            "Alert level per goal: 0 ok, 1 watch, 2 burned",
-            MetricKind::Gauge,
-        );
-        for (view, report) in views.iter().zip(&reports) {
-            for goal in &report.goals {
-                let level = match goal.alert {
-                    qrn_fleet::AlertLevel::Ok => 0,
-                    qrn_fleet::AlertLevel::Watch => 1,
-                    qrn_fleet::AlertLevel::Burned => 2,
-                };
-                out.sample_u64(
-                    "qrn_goal_alert_level",
-                    &[
-                        ("item", &view.item.config.name),
-                        ("goal", goal.incident.as_str()),
-                    ],
-                    level,
-                );
-            }
-        }
-        out.family(
-            "qrn_goal_sprt_looks_total",
-            "Completed SPRT looks per goal (burn-down evaluations served)",
-            MetricKind::Counter,
-        );
-        for (view, report) in views.iter().zip(&reports) {
-            for goal in &report.goals {
-                out.sample_u64(
-                    "qrn_goal_sprt_looks_total",
-                    &[
-                        ("item", &view.item.config.name),
-                        ("goal", goal.incident.as_str()),
-                    ],
-                    view.looks.looks(goal.incident.as_str()),
-                );
-            }
-        }
-        // Anytime-valid gauges, present only in sequential mode (the
-        // columns do not exist otherwise).
-        if self.config.burndown.sequential {
-            out.family(
-                "qrn_goal_e_value",
-                "Running budget e-process value per goal (anytime-valid; reaching 1/alpha rejects the budget)",
-                MetricKind::Gauge,
-            );
-            for (view, report) in views.iter().zip(&reports) {
-                for goal in &report.goals {
-                    if let Some(e_value) = goal.e_value {
-                        out.sample(
-                            "qrn_goal_e_value",
-                            &[
-                                ("item", &view.item.config.name),
-                                ("goal", goal.incident.as_str()),
-                            ],
-                            e_value,
-                        );
-                    }
+                    Source::Ledgers => unreachable!("rendered for every item at once"),
                 }
-            }
-            out.family(
-                "qrn_goal_seq_upper",
-                "Upper endpoint of the anytime-valid confidence sequence on each goal's rate, per hour",
-                MetricKind::Gauge,
-            );
-            for (view, report) in views.iter().zip(&reports) {
-                for goal in &report.goals {
-                    if let Some(seq_upper) = goal.seq_upper {
-                        out.sample(
-                            "qrn_goal_seq_upper",
-                            &[
-                                ("item", &view.item.config.name),
-                                ("goal", goal.incident.as_str()),
-                            ],
-                            seq_upper.as_per_hour(),
-                        );
-                    }
-                }
-            }
-        }
-        out.family(
-            "qrn_class_budget_consumed",
-            "Point-estimate share of each consequence-class budget",
-            MetricKind::Gauge,
-        );
-        for (view, report) in views.iter().zip(&reports) {
-            for class in &report.classes {
-                out.sample(
-                    "qrn_class_budget_consumed",
-                    &[
-                        ("item", &view.item.config.name),
-                        ("class", class.class.as_str()),
-                    ],
-                    class.consumed,
-                );
             }
         }
         Response::prometheus(out.finish())
@@ -2093,6 +1996,32 @@ mod tests {
             "{metrics}"
         );
         handle.stop().unwrap();
+    }
+
+    #[test]
+    fn percent_encoded_query_keys_are_the_keys_they_spell() {
+        // `%77here` decodes to `where`: it must filter exactly as
+        // `where` does, not pass validation and then miss the lookup.
+        // One fresh server per read, so both bodies are at look 1.
+        let log = "{\"ctx\":\"weather=clear,zone=urban\",\"event\":\"exposure\",\"hours\":2.0,\"v\":2,\"vehicle\":\"V1\"}\n\
+                   {\"ctx\":\"weather=fog,zone=urban\",\"event\":\"exposure\",\"hours\":1.0,\"v\":2,\"vehicle\":\"V1\"}\n";
+        let bodies: Vec<String> = ["where", "%77here"]
+            .iter()
+            .map(|key| {
+                let handle = Server::start(test_config()).unwrap();
+                let addr = handle.addr();
+                let (status, body) = post(addr, "/v1/ingest", log);
+                assert_eq!(status, 200, "{body}");
+                let (status, body) = get(addr, &format!("/v1/burndown?{key}=weather%3Dfog"));
+                assert_eq!(status, 200, "{body}");
+                handle.stop().unwrap();
+                body
+            })
+            .collect();
+        assert_eq!(bodies[0], bodies[1]);
+        let report: FleetReport = serde_json::from_str(&bodies[1]).unwrap();
+        let names: Vec<&str> = report.zones.iter().map(|z| z.zone.as_str()).collect();
+        assert_eq!(names, ["weather=fog,zone=urban"]);
     }
 
     #[test]

@@ -327,11 +327,6 @@ impl Store {
         &self.replay.cursors
     }
 
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Current shape and tallies.
     pub fn status(&self) -> StoreStatus {
         StoreStatus {
@@ -497,10 +492,17 @@ impl Store {
     fn write_snapshot_inner(&mut self, ts: u64, sync_now: bool) -> Result<(), StoreError> {
         let record = self.snapshot_record(ts.max(self.replay.last_ts));
         self.write_record(&record, sync_now)?;
+        self.snapshot_taken(record.ts);
+        Ok(())
+    }
+
+    /// The bookkeeping of a durable snapshot record, written on cadence
+    /// or by a compaction alike: the snapshot cadence restarts from it,
+    /// as it does for a reopen that folds from it.
+    fn snapshot_taken(&mut self, ts: u64) {
         self.replay.snapshots += 1;
         self.replay.events_since_snapshot = 0;
-        self.replay.last_ts = record.ts;
-        Ok(())
+        self.replay.last_ts = ts;
     }
 
     /// Compacts the store: seals the open segment (if it holds records)
@@ -624,6 +626,7 @@ impl Store {
         qrn_fleet::checkpoint::save_bytes(&target, &bytes)
             .map_err(|e| StoreError::Io(e.to_string()))?;
         self.appended_bytes += (bytes.len() - MAGIC.len()) as u64;
+        self.snapshot_taken(record.ts);
         // Oldest-first, so a crash part-way leaves a contiguous suffix
         // whose replay still REPLACEs into the same state.
         for index in self.first_closed..last {

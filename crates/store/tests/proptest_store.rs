@@ -83,26 +83,19 @@ fn render_lines(
 
 /// The snapshot cadence of one store, modelled from its receipts.
 ///
-/// `count` is the writer's running count of events since its newest
-/// snapshot; `on_disk` is the count a reopen derives. Both restart at a
-/// cadence snapshot. A compaction snapshot restarts only `on_disk`: the
-/// writer keeps counting towards its next cadence snapshot, while a
-/// reopen folds from the compaction snapshot and cannot see the events
-/// the compaction folded away.
-#[derive(Debug, Clone, Copy)]
+/// `count` is the writer's count of events since its newest snapshot.
+/// Every snapshot record restarts it, a cadence snapshot and a
+/// compaction snapshot alike, so a reopen, which folds from the newest
+/// snapshot, resumes it exactly.
+#[derive(Debug)]
 struct Cadence {
     every: u64,
     count: u64,
-    on_disk: u64,
 }
 
 impl Cadence {
     fn new(every: u64) -> Cadence {
-        Cadence {
-            every,
-            count: 0,
-            on_disk: 0,
-        }
+        Cadence { every, count: 0 }
     }
 
     /// Appends `text` at `ts`, checks the receipt's snapshot decision
@@ -119,33 +112,27 @@ impl Cadence {
             events,
             self.every
         );
-        if receipt.snapshot_written {
+        self.count += events;
+        if receipt.snapshot_written || store.status().compactions > compactions {
             self.count = 0;
-            self.on_disk = 0;
-        } else {
-            self.count += events;
-            self.on_disk += events;
-        }
-        if store.status().compactions > compactions {
-            self.on_disk = 0;
         }
         receipt
     }
 
-    /// The model after the store is closed and reopened.
-    fn reopened(self) -> Cadence {
-        Cadence {
-            count: self.on_disk,
-            ..self
+    /// Compacts `store` on demand and advances the model.
+    fn compact(&mut self, store: &mut Store) -> bool {
+        let compacted = store.compact().unwrap();
+        if compacted {
+            self.count = 0;
         }
+        compacted
     }
 }
 
 /// Reopens the store at `dir` and checks it against `twin`, a store fed
 /// the same batches that never closed: the same state, cursors and
 /// screening tallies, the same state as a sequential replay of every
-/// record, and — unless a compaction snapshot is the newest snapshot on
-/// disk — the same snapshot decision on the next append, `probe`.
+/// record, and the same snapshot decision on the next append, `probe`.
 fn reopen_and_probe(
     dir: &std::path::Path,
     config: StoreConfig,
@@ -176,13 +163,9 @@ fn reopen_and_probe(
     prop_assert_eq!(json(store.state()), json(&sequential.state));
     prop_assert_eq!(store.cursors(), &sequential.cursors);
 
-    *cadence = cadence.reopened();
-    let resumes_exactly = cadence.count == twin_cadence.count;
     let receipt = cadence.append(&mut store, probe, ts);
     let twin_receipt = twin_cadence.append(twin, probe, ts);
-    if resumes_exactly {
-        prop_assert_eq!(receipt.snapshot_written, twin_receipt.snapshot_written);
-    }
+    prop_assert_eq!(receipt.snapshot_written, twin_receipt.snapshot_written);
     prop_assert_eq!(json(store.state()), json(twin.state()));
     store
 }
@@ -318,10 +301,12 @@ proptest! {
         let live = json(twin.state());
         let live_cursors = twin.cursors().clone();
 
-        // Compaction changes no queryable byte.
-        if store.compact().unwrap() {
-            cadence.on_disk = 0;
-        }
+        // Compaction changes no queryable byte. The twin compacts too,
+        // so both keep one snapshot cadence.
+        prop_assert_eq!(
+            cadence.compact(&mut store),
+            twin_cadence.compact(&mut twin)
+        );
         let fast = reader.fold_as_of(None).unwrap();
         prop_assert_eq!(&json(&fast.state), &live);
         prop_assert_eq!(&fast.cursors, &live_cursors);

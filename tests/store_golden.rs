@@ -4,7 +4,12 @@
 //! store code as it stood *before* recovery started from the newest
 //! snapshot, compaction stopped keeping a sealed copy of the state and
 //! screening stopped staging its cursors on a copy. No test rewrites
-//! them. The store's other byte-identity tests compare today's code with
+//! them. `compacted/` was regenerated once, when a compaction snapshot
+//! started restarting the running writer's snapshot cadence as a reopen
+//! already did: its state, cursors and screening tallies kept their
+//! bytes, and only the open segment's cadence snapshots moved (one byte
+//! more in `open.seg`). `history/` never compacts and kept every byte.
+//! The store's other byte-identity tests compare today's code with
 //! today's code (live ≡ reopened ≡ compacted); this one pins every
 //! segment file and every recovered tally to the earlier implementation.
 //!
