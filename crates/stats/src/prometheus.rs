@@ -13,9 +13,9 @@
 //!
 //! [`render_ledgers`] is the shared ledger→metrics mapping: exposure,
 //! weighted incident mass, raw observation counts and unclassified mass,
-//! per item, globally and per named context (exposed as a `zone` label). Keeping
-//! it here — next to the [`EvidenceLedger`] itself — means every server
-//! or exporter renders ledger evidence the same way.
+//! per item, globally and per named context (exposed as a `zone` label).
+//! Keeping it here — next to the [`EvidenceLedger`] itself — means every
+//! server or exporter renders ledger evidence the same way.
 
 use std::fmt::{Display, Write};
 
