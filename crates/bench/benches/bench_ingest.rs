@@ -6,7 +6,8 @@
 //! After the criterion groups run, the harness writes the machine-local
 //! perf baseline `results/BENCH_ingest.json`: lines/second for the fast
 //! and fallback parsers (asserting the fast path is never slower),
-//! events/second through `ingest_str`, and accepted events/second under
+//! events/second through `ingest_str` (a one-block log at one shard and
+//! a 2,048-line log at two shards), and accepted events/second under
 //! concurrent store-backed POSTs for group-commit caps 1 (one fsync per
 //! batch) and the default (one fsync per drained group), each the median
 //! and quartiles of repeated runs. The absolute
@@ -28,6 +29,9 @@ use qrn_fleet::ingest_str;
 use qrn_fleet::telemetry::{Scenario, TelemetryConfig};
 use qrn_serve::{ServeConfig, Server};
 use qrn_units::Hours;
+
+/// Lines of the multi-block `ingest_str` row: four 512-line blocks.
+const MULTI_BLOCK_LINES: usize = 2048;
 
 fn quick() -> bool {
     std::env::var("QRN_BENCH_QUICK").is_ok_and(|v| v != "0" && !v.is_empty())
@@ -295,20 +299,35 @@ fn emit_ingest_baseline() {
          ({ctx_speedup:.2}x)"
     );
 
+    // `ingest_str` end to end: a one-block log on the calling thread
+    // alone, and a multi-block banded log at two shards, where one
+    // spawned helper parses beside the caller.
     let classification = paper_classification().expect("paper example");
-    let mut fold = serde_json::json!({});
-    let fold_rate = insert_quartiles(
-        &mut fold,
-        "events_per_second",
-        samples(&|| {
-            let start = Instant::now();
-            for _ in 0..fold_iters {
-                ingest_str(black_box(&log), &classification, 1).expect("clean log folds");
-            }
-            (lines * fold_iters) as f64 / start.elapsed().as_secs_f64()
-        }),
-    );
-    println!("ingest/ingest_str: {fold_rate:.0} events/s");
+    let timed_fold = |text: &str, shards: usize| {
+        let lines = text.lines().count();
+        let mut row = serde_json::json!({ "lines": lines, "shards": shards });
+        let rate = insert_quartiles(
+            &mut row,
+            "events_per_second",
+            samples(&|| {
+                let start = Instant::now();
+                for _ in 0..fold_iters {
+                    ingest_str(black_box(text), &classification, shards).expect("clean log folds");
+                }
+                (lines * fold_iters) as f64 / start.elapsed().as_secs_f64()
+            }),
+        );
+        println!("ingest/ingest_str {lines} lines, {shards} shards: {rate:.0} events/s");
+        row
+    };
+    let fold = timed_fold(&log, 1);
+    let multi_block: String = banded_log(8, 320.0)
+        .lines()
+        .take(MULTI_BLOCK_LINES)
+        .flat_map(|line| [line, "\n"])
+        .collect();
+    assert_eq!(multi_block.lines().count(), MULTI_BLOCK_LINES);
+    let fold_multi_block = timed_fold(&multi_block, 2);
 
     let group_commit_max = qrn_store::writer::DEFAULT_GROUP_COMMIT;
     let mut serve_store = serde_json::json!({
@@ -341,10 +360,12 @@ fn emit_ingest_baseline() {
             "parse": parse,
             "parse_ctx": parse_ctx,
             "fold": fold,
+            "fold_multi_block": fold_multi_block,
             "serve_store": serve_store,
             "note": "machine-local, median and quartiles of repeated runs: parse rows \
                      compare the zero-allocation scanner with the tolerant serde \
                      fallback on one clean log (speedup is the ratio of medians); \
+                     fold rows time ingest_str at their recorded lines and shards; \
                      serve rows compare one fsync per batch with group commit under \
                      concurrent POSTs — on a 1-CPU container they show fsync \
                      amortisation, not multi-core scaling",

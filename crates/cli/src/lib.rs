@@ -272,9 +272,10 @@ COMMANDS:
         /v1/<name>/ingest and /v1/<name>/burndown with its own state and
         checkpoint file. Each item's live state is spread over
         --state-shards shards (default: CPU count) so concurrent ingests
-        don't serialise; queries and checkpoints fold the shards
-        deterministically, keeping every checkpoint byte-identical to
-        `fleet ingest` of the same segments offline. With --checkpoint
+        don't serialise; queries read a ledger-only snapshot of the
+        shards, and store-less checkpoints fold the shards and the
+        roster deterministically, keeping every checkpoint
+        byte-identical to `fleet ingest` of the same segments offline. With --checkpoint
         the state and its SPRT look counts (<state.json>.looks.json)
         are resumed at start and atomically checkpointed after every
         segment. With --store every

@@ -6,9 +6,11 @@
 //! indices, and worker shards claim blocks from a shared atomic counter —
 //! the same work-stealing queue as `qrn-sim`'s campaign engine, with no
 //! per-shard striping: a shard that draws cheap (blank, short) lines
-//! simply claims more blocks. Each block is parsed, classified and folded
-//! into a `ShardAccumulator` partial; after the queue drains, partials
-//! are merged **in ascending block order**. Because the block partition
+//! simply claims more blocks. The calling thread is one of the shards and
+//! spawns only the rest, so a log of at most one block spawns no thread.
+//! Each block is parsed, classified and folded into a `ShardAccumulator`
+//! partial; after the queue drains, partials are merged **in ascending
+//! block order**. Because the block partition
 //! depends only on the line count (never on the shard count or
 //! scheduling), the merged [`FleetState`] — including its floating-point
 //! exposure sums — is byte-identical for any number of shards.
@@ -319,7 +321,9 @@ impl ShardAccumulator {
 }
 
 /// Ingests a JSONL event log on `shards` parallel shards, classifying
-/// incident records against `classification`.
+/// incident records against `classification`. The calling thread counts
+/// as one of the shards; at most `shards - 1` helper threads are spawned,
+/// and none for a log of at most 512 lines.
 ///
 /// The shard count never affects the resulting state — only wall-clock
 /// time — and the result is byte-identical (including floating-point
@@ -369,44 +373,49 @@ pub fn ingest_str_with_scratch(
     let spans = scratch.split_lines(text);
     let blocks = spans.len().div_ceil(LINES_PER_BLOCK).max(1) as u64;
 
+    let spans: &[(usize, usize)] = spans;
     let queue = AtomicU64::new(0);
+    let claim_blocks = || {
+        let mut local = Vec::new();
+        loop {
+            let block = queue.fetch_add(1, Ordering::Relaxed);
+            if block >= blocks {
+                break;
+            }
+            let first = block as usize * LINES_PER_BLOCK;
+            let last = (first + LINES_PER_BLOCK).min(spans.len());
+            let mut acc = ShardAccumulator::default();
+            for &(start, end) in &spans[first..last] {
+                acc.absorb_line(&text[start..end], classification);
+            }
+            local.push((block, acc));
+        }
+        local
+    };
+    // The calling thread is one of the workers, so a one-block segment
+    // (at most `LINES_PER_BLOCK` lines) spawns no thread at all.
     let workers = shards.min(blocks as usize);
-    let shard_outputs: Vec<Vec<(u64, ShardAccumulator)>> = std::thread::scope(|scope| {
-        let spans: &[(usize, usize)] = spans;
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let block = queue.fetch_add(1, Ordering::Relaxed);
-                        if block >= blocks {
-                            break;
-                        }
-                        let first = block as usize * LINES_PER_BLOCK;
-                        let last = (first + LINES_PER_BLOCK).min(spans.len());
-                        let mut acc = ShardAccumulator::default();
-                        for &(start, end) in &spans[first..last] {
-                            acc.absorb_line(&text[start..end], classification);
-                        }
-                        local.push((block, acc));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("ingest shard panicked"))
-            .collect()
+    let mut partials: Vec<(u64, ShardAccumulator)> = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(claim_blocks)).collect();
+        let mut partials = claim_blocks();
+        for helper in helpers {
+            partials.extend(helper.join().expect("ingest shard panicked"));
+        }
+        partials
     });
 
     // The reduce: ascending block order restores the sequential fold
-    // regardless of which shard parsed which block.
-    let mut partials: Vec<(u64, ShardAccumulator)> = shard_outputs.into_iter().flatten().collect();
+    // regardless of which worker parsed which block. It starts from the
+    // first block's own partial rather than merging it into an empty
+    // state: every tally is a non-negative sum from zero, so
+    // `0 + x = x` makes the two bit-identical.
     partials.sort_unstable_by_key(|(block, _)| *block);
-    Ok(fold_states(
-        partials.into_iter().map(|(_, partial)| partial.state),
-    ))
+    let mut states = partials.into_iter().map(|(_, partial)| partial.state);
+    let mut merged = states.next().unwrap_or_default();
+    for state in states {
+        merged.merge(&state);
+    }
+    Ok(merged)
 }
 
 #[cfg(test)]
@@ -489,6 +498,74 @@ mod tests {
                 "shards={shards}"
             );
         }
+    }
+
+    /// A ctx-stamped log of exactly `n` lines with dyadic exposure
+    /// chunks: an incident every 29th line, a non-canonical (spaced)
+    /// line for the tolerant parser every 41st, a corrupt line every 97th.
+    fn boundary_log(n: usize) -> String {
+        const BANDS: [&str; 3] = [
+            "weather=clear,zone=rural",
+            "weather=clear,zone=urban",
+            "weather=fog,zone=urban",
+        ];
+        let mut log = String::new();
+        for i in 1..=n {
+            let vehicle = format!("V{:03}", i % 11);
+            let band = Some(BANDS[i % BANDS.len()]);
+            let line = if i % 97 == 0 {
+                "{corrupt".to_string()
+            } else if i % 29 == 0 {
+                let record = IncidentRecord::collision(
+                    Involvement::ego_with(ObjectType::Vru),
+                    Speed::from_kmh(5.0 + (i % 60) as f64).unwrap(),
+                );
+                FleetEvent::Incident { vehicle, record }.to_line_with_meta(None, band)
+            } else {
+                let hours = Hours::new(0.25 * (1 + i % 9) as f64).unwrap();
+                let line = FleetEvent::Exposure { vehicle, hours }.to_line_with_meta(None, band);
+                if i % 41 == 0 {
+                    line.replacen("\"hours\":", "\"hours\": ", 1)
+                } else {
+                    line
+                }
+            };
+            log.push_str(&line);
+            log.push('\n');
+        }
+        log
+    }
+
+    /// Pins both sides of the one-block / many-block boundary: a log of
+    /// at most `LINES_PER_BLOCK` lines is parsed by the calling thread
+    /// alone, a longer one spreads over helpers, and either way every
+    /// shard count yields the bytes of shard count 1.
+    #[test]
+    fn block_boundary_logs_are_byte_identical_for_any_shard_count() {
+        let classification = paper_classification().unwrap();
+        for n in [0, 1, 511, 512, 513, 1024, 1025] {
+            let log = boundary_log(n);
+            let reference = ingest_str(&log, &classification, 1).unwrap();
+            assert_eq!(reference.lines(), n as u64);
+            let bytes = serde_json::to_string(&reference).unwrap();
+            for shards in 2..=8 {
+                let other = ingest_str(&log, &classification, shards).unwrap();
+                assert_eq!(
+                    serde_json::to_string(&other).unwrap(),
+                    bytes,
+                    "lines={n} shards={shards}"
+                );
+            }
+        }
+        // The inputs reach the tolerant parser, the skip tally and the
+        // classifier, not only the fast path.
+        let log = boundary_log(1025);
+        assert!(log
+            .lines()
+            .any(|line| matches!(fastpath::parse_line_hybrid(line), ParsedLine::Owned(..))));
+        let state = ingest_str(&log, &classification, 1).unwrap();
+        assert_eq!(state.skipped().bad_json, 10);
+        assert!(state.counts().map(|(_, n)| n).sum::<u64>() + state.unclassified() > 0);
     }
 
     #[test]

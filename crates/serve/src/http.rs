@@ -211,8 +211,11 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
     let mut content_length: Option<usize> = None;
     let mut expect_continue = false;
     for line in lines {
+        // A field line without a colon cannot be framed (RFC 9112 §5).
         let Some((name, value)) = line.split_once(':') else {
-            continue;
+            return Err(RequestError::BadRequest(format!(
+                "header line without a colon {line:?}"
+            )));
         };
         let name = name.trim().to_ascii_lowercase();
         let value = value.trim();
@@ -443,6 +446,19 @@ mod tests {
         )
         .unwrap();
         assert_eq!(req.body, b"hello");
+    }
+
+    #[test]
+    fn header_line_without_a_colon_is_bad_request() {
+        let err =
+            parse_bytes(b"GET /healthz HTTP/1.1\r\nthis is not a header\r\n\r\n", 64).unwrap_err();
+        match &err {
+            RequestError::BadRequest(message) => {
+                assert!(message.contains("this is not a header"), "{message}")
+            }
+            other => panic!("expected BadRequest, got {other:?}"),
+        }
+        assert_eq!(err.response().unwrap().status, 400);
     }
 
     #[test]

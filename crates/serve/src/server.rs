@@ -715,6 +715,7 @@ impl Inner {
     /// the refinement rows to contexts matching every comma-separated
     /// `dim=value` clause.
     fn parse_burndown_query(req: &Request) -> Result<BurndownQuery, Response> {
+        let mut seen: Vec<String> = Vec::new();
         for (key, _) in req.query_pairs() {
             if !matches!(key.as_str(), "as_of" | "context" | "zone" | "where") {
                 return Err(Response::text(
@@ -725,6 +726,14 @@ impl Inner {
                     ),
                 ));
             }
+            if seen.contains(&key) {
+                return Err(Response::text(
+                    400,
+                    "Bad Request",
+                    &format!("query parameter {key:?} given more than once; pass it once"),
+                ));
+            }
+            seen.push(key);
         }
         let context = req.query_param("context");
         let zone = req.query_param("zone");
@@ -1874,6 +1883,30 @@ mod tests {
         let (status, body) = get(addr, "/v1/burndown?where=nonsense");
         assert_eq!(status, 400, "{body}");
         assert!(body.contains("where"), "{body}");
+        handle.stop().unwrap();
+    }
+
+    #[test]
+    fn repeated_query_keys_are_400_naming_the_key() {
+        let handle = Server::start(test_config()).unwrap();
+        let addr = handle.addr();
+        // The second selector used to be dropped silently, serving the
+        // fog row.
+        let (status, body) = get(
+            addr,
+            "/v1/burndown?context=weather=fog,zone=urban&context=weather=clear,zone=urban",
+        );
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("\"context\""), "{body}");
+        for query in [
+            "as_of=1&as_of=2",
+            "zone=a&zone=a",
+            "where=zone%3Durban&%77here=zone%3Drural",
+        ] {
+            let (status, body) = get(addr, &format!("/v1/burndown?{query}"));
+            assert_eq!(status, 400, "{query}: {body}");
+            assert!(body.contains("more than once"), "{query}: {body}");
+        }
         handle.stop().unwrap();
     }
 

@@ -555,6 +555,47 @@ mod tests {
         );
     }
 
+    /// `sample_events(n)` as a log of exactly `n` lines, with a
+    /// non-canonical (spaced) line every 41st and a corrupt one every
+    /// 97th.
+    fn boundary_segment(n: usize) -> String {
+        to_jsonl(&sample_events(n))
+            .lines()
+            .enumerate()
+            .map(|(i, line)| match i + 1 {
+                k if k % 97 == 0 => "{corrupt\n".to_string(),
+                k if k % 41 == 0 => line.replacen(':', ": ", 1) + "\n",
+                _ => format!("{line}\n"),
+            })
+            .collect()
+    }
+
+    /// Segments on both sides of `ingest_str`'s one-block / many-block
+    /// boundary (512 lines), routed through the shards and folded, give
+    /// the bytes of a one-shot ingest of the whole log.
+    #[test]
+    fn block_boundary_segments_fold_byte_identical_to_one_shot_ingest() {
+        let classification = paper_classification().unwrap();
+        let segments: Vec<String> = [0, 1, 511, 512, 513, 1024, 1025]
+            .into_iter()
+            .map(boundary_segment)
+            .collect();
+        let whole = ingest_str(&segments.concat(), &classification, 1).unwrap();
+        assert_eq!(whole.skipped().bad_json, 35);
+        let expected = serde_json::to_string(&whole).unwrap();
+        for (state_shards, parse_shards) in [(1, 1), (2, 2), (3, 8), (4, 5)] {
+            let state = ShardedState::new(state_shards, FleetState::default());
+            for segment in &segments {
+                state.ingest(&ingest_str(segment, &classification, parse_shards).unwrap());
+            }
+            assert_eq!(
+                serde_json::to_string(&state.fold()).unwrap(),
+                expected,
+                "state_shards={state_shards} parse_shards={parse_shards}"
+            );
+        }
+    }
+
     use proptest::prelude::*;
 
     proptest! {
