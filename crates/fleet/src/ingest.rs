@@ -10,10 +10,10 @@
 //! spawns only the rest, so a log of at most one block spawns no thread.
 //! Each block is parsed, classified and folded into a `ShardAccumulator`
 //! partial; after the queue drains, partials are merged **in ascending
-//! block order**. Because the block partition
-//! depends only on the line count (never on the shard count or
-//! scheduling), the merged [`FleetState`] — including its floating-point
-//! exposure sums — is byte-identical for any number of shards.
+//! block order**. Because the block partition depends only on the line
+//! count (never on the shard count or scheduling), the merged
+//! [`FleetState`] — including its floating-point exposure sums — is
+//! byte-identical for any number of shards.
 //!
 //! Memory is O(vehicles + incident types + shards·block): raw events are
 //! never materialised for the whole log, so a log of a billion lines
@@ -252,10 +252,12 @@ impl FleetState {
 }
 
 /// Folds a sequence of partial [`FleetState`]s into one, merging in
-/// **iteration order** — the exact reduce [`ingest_str`] applies to its
-/// per-block partials, exposed so other layers (checkpointed segment
-/// ingest, the sharded live server's cross-shard fold) perform the same
-/// fold and inherit the same determinism argument.
+/// **iteration order** — bit for bit the reduce [`ingest_str`] applies
+/// to its per-block partials (it starts from its first partial instead
+/// of an empty state, which `0 + x = x` makes equal), exposed so other
+/// layers (checkpointed segment ingest, the sharded live server's
+/// cross-shard fold) perform the same fold and inherit the same
+/// determinism argument.
 ///
 /// Integer tallies merge associatively and commutatively without
 /// qualification. The floating-point exposure sums are exact — and the
@@ -373,7 +375,6 @@ pub fn ingest_str_with_scratch(
     let spans = scratch.split_lines(text);
     let blocks = spans.len().div_ceil(LINES_PER_BLOCK).max(1) as u64;
 
-    let spans: &[(usize, usize)] = spans;
     let queue = AtomicU64::new(0);
     let claim_blocks = || {
         let mut local = Vec::new();
@@ -392,8 +393,7 @@ pub fn ingest_str_with_scratch(
         }
         local
     };
-    // The calling thread is one of the workers, so a one-block segment
-    // (at most `LINES_PER_BLOCK` lines) spawns no thread at all.
+    // The caller is one of the workers: a one-block log spawns no thread.
     let workers = shards.min(blocks as usize);
     let mut partials: Vec<(u64, ShardAccumulator)> = std::thread::scope(|scope| {
         let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(claim_blocks)).collect();

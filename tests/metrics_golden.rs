@@ -30,10 +30,7 @@ use qrn::stats::prometheus::validate_exposition;
 use qrn::units::{Hours, Speed};
 
 fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "qrn-metrics-golden-{tag}-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("qrn-metrics-golden-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
