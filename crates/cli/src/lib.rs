@@ -273,15 +273,15 @@ COMMANDS:
         checkpoint file. Each item's live state is spread over
         --state-shards shards (default: CPU count) so concurrent ingests
         don't serialise; queries read a ledger-only snapshot of the
-        shards, and store-less checkpoints fold the shards and the
-        roster deterministically, keeping every checkpoint
-        byte-identical to `fleet ingest` of the same segments offline. With --checkpoint
-        the state and its SPRT look counts (<state.json>.looks.json)
-        are resumed at start and atomically checkpointed after every
-        segment. With --store every
-        accepted segment is first appended — durably, screened for
-        duplicate and missing sequence numbers — to a per-item
-        append-only log under <DIR>; the live state is recovered from
+        shards. With --checkpoint the SPRT look counts
+        (<state.json>.looks.json) are saved whenever a look is spent and
+        at drain; without --store the state, byte-identical to `fleet
+        ingest` offline, is written to <state.json> at drain only (a
+        graceful-restart file: a crash loses the uploads since start).
+        Both are resumed at start. --store is the one crash-durable
+        mode: every accepted segment is first appended — durably,
+        screened for duplicate and missing sequence numbers — to a
+        per-item append-only log under <DIR>; the live state is recovered from
         the store on restart, --checkpoint then keeps only the look
         counts, and GET /v1/[<item>/]burndown?as_of=<millis>
         (a historical replay that spends no SPRT look) and GET

@@ -16,7 +16,7 @@
 //! `--item <name>=<norm>,<classification>,<allocation>` adds another
 //! independently served item. The process blocks until
 //! `POST /v1/shutdown`, then drains in-flight requests and writes a
-//! final crash-safe checkpoint per item.
+//! final checkpoint per item; only `--store` makes uploads crash-durable.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -24,7 +24,6 @@ use std::time::Duration;
 use qrn_core::allocation::Allocation;
 use qrn_core::norm::QuantitativeRiskNorm;
 use qrn_core::IncidentClassification;
-use qrn_fleet::looks::LookBook;
 use qrn_serve::{ServeConfig, Server};
 use qrn_stats::evidence::EvidenceLedger;
 
@@ -188,11 +187,7 @@ pub fn run(
     // `qrn_goal_e_value` / `qrn_goal_seq_upper` metric families.
     config.burndown.sequential = has_flag(rest, "--sequential");
 
-    // With a store, the checkpoint path keeps only the look sidecar.
-    let checkpoint = config.checkpoint.as_ref().map(|path| match config.store {
-        Some(_) => LookBook::sidecar_path(path),
-        None => path.clone(),
-    });
+    let checkpoint = config.checkpoint.clone();
     let store = config.store.clone();
     let item_names: Vec<String> = config.items.iter().map(|item| item.name.clone()).collect();
     let state_shards = config.state_shards;
@@ -211,7 +206,8 @@ pub fn run(
     );
     if let Some(path) = &checkpoint {
         println!(
-            "checkpointing to {} (non-default items get per-item files)",
+            "checkpointing to {} (looks when spent, a store-less state at drain; \
+             non-default items get per-item files)",
             path.display()
         );
     }
@@ -223,8 +219,8 @@ pub fn run(
         );
     }
     handle.wait()?;
-    match &checkpoint {
-        Some(path) => println!("drained; final checkpoint written to {}", path.display()),
+    match checkpoint {
+        Some(_) => println!("drained; final checkpoint written"),
         None => println!("drained; no checkpoint configured"),
     }
     Ok(CommandOutcome::Ok)

@@ -10,11 +10,13 @@
 //! * `POST /v1/ingest` and `POST /v1/<item>/ingest` — JSONL telemetry
 //!   segments through the tolerant parser; malformed lines are
 //!   skipped-and-counted, never fatal.
-//! * `GET /v1/burndown` and `GET /v1/<item>/burndown` (and
-//!   `?zone=<name>`) — the current
+//! * `GET /v1/burndown` and `GET /v1/<item>/burndown` — the current
 //!   [`FleetReport`](qrn_fleet::burndown::FleetReport) against the item's
 //!   norm, byte-identical to what `qrn fleet report` would produce
-//!   offline from the same segments.
+//!   offline from the same segments. `?context=<key>` answers one
+//!   context's refinement row (`?zone=` is its alias) and
+//!   `?where=<dim>=<value>` keeps only matching rows. Each read spends
+//!   one SPRT look, saved to the item's look sidecar before the answer.
 //! * `GET /v1/<item>/burndown?as_of=<unix-millis>` — when an evidence
 //!   store is configured, the burn-down *as of* a past instant, folded
 //!   from the append-only [`qrn_store`] log. Historical replays are
@@ -29,9 +31,9 @@
 //! * `GET /healthz` — liveness.
 //! * `POST /v1/shutdown` — graceful drain (the SIGTERM-equivalent a
 //!   std-only binary can actually receive): in-flight requests finish,
-//!   then a final crash-safe checkpoint is written per item (with an
-//!   evidence store, only its look sidecar: the store already holds
-//!   every acknowledged segment).
+//!   then a final checkpoint is written per item: its look sidecar and,
+//!   without an evidence store, its state file. Uploads write no file,
+//!   so `--store` is the one crash-durable mode.
 //!
 //! One server can host several *items* — named norm/classification/
 //! allocation triples, each with its own sharded live state, look
@@ -53,12 +55,12 @@
 //! outside any lock and their evidence handed to one of N per-item
 //! ledger shards, so concurrent uploads don't serialise on a global
 //! state mutex, while the vehicle roster is held once in a striped
-//! registry. Queries and scrapes merge only the shard ledgers;
-//! store-less checkpoints also assemble the roster. Both use the exact dyadic merge
-//! `ingest_str` uses, keeping every artefact byte-identical to offline
-//! ingest. State
-//! checkpoints reuse `qrn-fleet`'s atomic write-to-temp + fsync + rename
-//! protocol, so the checkpoint after N ingested segments is
+//! registry. Queries and scrapes merge only the shard ledgers; the
+//! store-less state file written at drain also assembles the roster.
+//! Both use the exact dyadic merge `ingest_str` uses, keeping every
+//! artefact byte-identical to offline ingest. State files and look
+//! sidecars reuse `qrn-fleet`'s atomic write-to-temp + fsync + rename
+//! protocol, so the state file drained after N ingested segments is
 //! byte-identical to `qrn fleet ingest` of the same segments offline.
 
 #![forbid(unsafe_code)]

@@ -80,7 +80,7 @@ pub struct ServerMetrics {
     connections_dropped: AtomicU64,
     /// Ingest requests accepted (segments merged into the live state).
     segments_ingested: AtomicU64,
-    /// Checkpoints successfully written.
+    /// Checkpoint writes: spent-look sidecar saves and drain writes.
     checkpoints_written: AtomicU64,
     /// Workers serving a connection right now (a gauge).
     workers_busy: AtomicU64,
@@ -124,7 +124,7 @@ impl ServerMetrics {
         self.segments_ingested.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one written checkpoint.
+    /// Counts one checkpoint write: a spent look's sidecar or a drain.
     pub fn count_checkpoint(&self) {
         self.checkpoints_written.fetch_add(1, Ordering::Relaxed);
     }
@@ -227,7 +227,7 @@ impl ServerMetrics {
 
         out.family(
             "qrn_server_checkpoints_written_total",
-            "Crash-safe checkpoints written",
+            "Checkpoint writes: a look sidecar saved when a look is spent, and one per item at drain",
             MetricKind::Counter,
         );
         out.sample_u64(

@@ -21,10 +21,10 @@
 //! lock (the expensive part) and handed to one shard, so concurrent
 //! uploads only contend when every shard is busy. Burn-down queries and
 //! metrics scrapes read a ledger-only snapshot, whose cost is flat in
-//! fleet size; store-less checkpoints fold the shards and the roster.
-//! Both merge the shards in ascending index order with the exact dyadic
-//! merge `ingest_str` uses for its block partials, so every checkpoint
-//! and burn-down artefact stays byte-identical to an offline
+//! fleet size; the drain's store-less state file folds the shards and
+//! the roster. Both merge the shards in ascending index order with the
+//! exact dyadic merge `ingest_str` uses for its block partials, so every
+//! state file and burn-down artefact stays byte-identical to an offline
 //! `qrn fleet ingest` of the same segments (see [`crate::state`] for the
 //! argument and the property test).
 //!
@@ -38,18 +38,18 @@
 //!
 //! # Durability
 //!
-//! Each serve mode has one evidence durability path. Without a store,
-//! it is the checkpoint: after every ingested segment and at drain, the
-//! folded state is atomically rewritten and resumed at start. With an
-//! evidence store configured, it is the store: ingest funnels through
-//! the store's single writer thread, which appends and fsyncs each
-//! segment and whose append hook merges it into the live state *in
-//! append order* before the upload is acknowledged — so the live state
-//! agrees byte for byte with a store replay even under concurrent
-//! uploads of arbitrary (non-dyadic) float payloads. The state is
-//! recovered from the store at start, and a configured checkpoint path
-//! then holds only the look sidecar: the state file is neither written
-//! nor read.
+//! No upload writes a file. With an evidence store configured, the
+//! store is the one crash-durable mode: ingest funnels through the
+//! store's single writer thread, which appends and fsyncs each segment
+//! and whose append hook merges it into the live state *in append
+//! order* before the upload is acknowledged — so the live state agrees
+//! byte for byte with a store replay even under concurrent uploads of
+//! arbitrary (non-dyadic) float payloads. The state is recovered from
+//! the store at start, and a configured checkpoint path then holds only
+//! the look sidecar. Without a store, the checkpoint is a
+//! graceful-restart file: the folded state is written at drain and
+//! resumed at start, so a crash loses the uploads since the start. The
+//! look sidecar is saved whenever a look is spent, and at drain.
 //!
 //! # Multi-item serving
 //!
@@ -68,8 +68,9 @@
 //! them into served reports
 //! ([`GoalBurnDown::looks`](qrn_fleet::burndown::GoalBurnDown)), and
 //! persists them in a sidecar next to the item's checkpoint
-//! (`<checkpoint>.looks.json`) so the count survives restarts. A look is
-//! spent only for a report that was computed. The sidecar is
+//! (`<checkpoint>.looks.json`) before the report is answered, so counts
+//! and alert transitions survive restarts and crashes. A look is spent
+//! only for a report that was computed. The sidecar is
 //! deliberately *not* part of the [`FleetState`] checkpoint or the
 //! store: the evidence must stay byte-identical to offline ingest, which
 //! never consults the test, and a store record per look would put an
@@ -78,7 +79,7 @@
 use std::collections::VecDeque;
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -185,14 +186,14 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Live-state shards per item: independent evidence ledgers the
     /// ingest handoff distributes over, merged deterministically for
-    /// queries and checkpoints.
+    /// queries and the drain's state file.
     pub state_shards: usize,
-    /// Base checkpoint path. Each item's checkpoint is atomically
-    /// rewritten after every ingested segment and at shutdown, and
-    /// resumed at start. Without a store it holds the item's state and
-    /// its look sidecar (`<path>.looks.json`); with a store, only the
-    /// sidecar, because the store is then the state's one durability
-    /// path.
+    /// Base checkpoint path. Each item's look sidecar
+    /// (`<path>.looks.json`) is rewritten whenever a look is spent and
+    /// at shutdown. Without a store, the item's state is written to the
+    /// path at shutdown only (a graceful-restart file); with a store,
+    /// which is then the one crash-durable path, it holds no state.
+    /// Both files are resumed at start.
     pub checkpoint: Option<PathBuf>,
     /// Burn-down analysis parameters for burn-down and metrics queries.
     pub burndown: BurnDownConfig,
@@ -398,7 +399,7 @@ impl ConnQueue {
 }
 
 /// One served item at runtime: its configuration, sharded live state,
-/// look counters and checkpoint plumbing.
+/// look counters and file paths.
 struct Item {
     config: ItemConfig,
     /// The live sharded state. Shared (`Arc`) with the store writer
@@ -407,14 +408,11 @@ struct Item {
     /// stays byte-identical to a store replay under concurrent ingest.
     state: Arc<ShardedState>,
     /// Per-goal look ledger: completed looks plus `Ok → Watch → Burned`
-    /// transition timestamps, persisted in the checkpoint sidecar.
+    /// transition timestamps. Its mutex serialises the sidecar's writes.
     looks: Mutex<LookBook>,
     /// This item's checkpoint path (the default item keeps the bare
     /// configured base path).
     checkpoint: Option<PathBuf>,
-    /// Serialises checkpoint writes so two concurrent ingests don't
-    /// interleave their write-temp/rename protocols.
-    checkpoint_lock: Mutex<()>,
     /// This item's evidence-store directory (`<store>/<item name>`),
     /// when a store is configured. Readers for `?as_of=` and `/history`
     /// open it directly; only the writer thread ever writes to it.
@@ -569,8 +567,6 @@ struct IngestReply {
     total_exposure_hours: f64,
     /// Distinct vehicles seen by this item so far.
     vehicles: u64,
-    /// Whether this request triggered a checkpoint write.
-    checkpointed: bool,
 }
 
 impl Inner {
@@ -578,20 +574,14 @@ impl Inner {
         self.items.iter().find(|item| item.config.name == name)
     }
 
-    /// Writes the item's checkpoint atomically, under its checkpoint
-    /// lock: the folded state — unless the store is the item's
-    /// durability path — then the look sidecar.
-    fn write_checkpoint(&self, path: &Path, item: &Item) -> Result<(), ServeError> {
-        let _serialised = item
-            .checkpoint_lock
-            .lock()
-            .expect("checkpoint mutex poisoned");
-        if item.store_dir.is_none() {
-            checkpoint::save_state(path, &item.state.fold())?;
+    /// Saves `looks`, the item's locked look book, to its sidecar when a
+    /// checkpoint path is configured. The caller holds the look mutex,
+    /// which serialises the sidecar's writes.
+    fn save_looks(&self, item: &Item, looks: &LookBook) -> Result<(), ServeError> {
+        if let Some(path) = &item.checkpoint {
+            looks.save(&LookBook::sidecar_path(path))?;
+            self.metrics.count_checkpoint();
         }
-        let looks = item.looks.lock().expect("look mutex poisoned").clone();
-        looks.save(&LookBook::sidecar_path(path))?;
-        self.metrics.count_checkpoint();
         Ok(())
     }
 
@@ -638,15 +628,6 @@ impl Inner {
             },
         };
         self.metrics.count_segment();
-        if let Some(path) = &item.checkpoint {
-            if let Err(e) = self.write_checkpoint(path, item) {
-                return Response::text(
-                    500,
-                    "Internal Server Error",
-                    &format!("checkpoint write failed: {e}"),
-                );
-            }
-        }
         let reply = IngestReply {
             item: item.config.name.clone(),
             segment_lines: segment.lines(),
@@ -660,7 +641,6 @@ impl Inner {
             total_events: item.state.events(),
             total_exposure_hours: item.state.exposure_hours(),
             vehicles: item.state.vehicle_count(),
-            checkpointed: item.checkpoint.is_some(),
         };
         Response::json(serde_json::to_string_pretty(&reply).expect("reply is serialisable"))
     }
@@ -899,11 +879,18 @@ impl Inner {
             }
         };
         // The report is computed outside the look lock; only a computed
-        // report spends a look.
-        item.looks
-            .lock()
-            .expect("look mutex poisoned")
-            .look(&mut report, now_millis());
+        // report spends a look, and the look is saved before it is
+        // answered.
+        let mut looks = item.looks.lock().expect("look mutex poisoned");
+        looks.look(&mut report, now_millis());
+        if let Err(e) = self.save_looks(item, &looks) {
+            return Response::text(
+                500,
+                "Internal Server Error",
+                &format!("look sidecar write failed: {e}"),
+            );
+        }
+        drop(looks);
         Self::render_burndown(&report, query.selector.as_deref())
     }
 
@@ -1315,7 +1302,6 @@ impl Server {
                 state,
                 looks: Mutex::new(looks),
                 checkpoint: path,
-                checkpoint_lock: Mutex::new(()),
                 store_dir,
             });
         }
@@ -1422,14 +1408,15 @@ impl ServerHandle {
     /// Blocks until shutdown is requested (via [`request_shutdown`] or
     /// `POST /v1/shutdown`), then drains: queued connections are served,
     /// workers joined, and — when a checkpoint is configured — a final
-    /// atomic checkpoint written per item (the look sidecar, plus the
-    /// state without a store).
+    /// atomic checkpoint written per item (the state file without a
+    /// store, then the look sidecar).
     ///
     /// [`request_shutdown`]: ServerHandle::request_shutdown
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError`] when a final checkpoint cannot be written.
+    /// Returns the first [`ServeError`] of the final checkpoint writes;
+    /// every item's files are attempted, and the store closed, either way.
     pub fn wait(mut self) -> Result<(), ServeError> {
         if let Some(accept) = self.accept_thread.take() {
             let _ = accept.join();
@@ -1442,10 +1429,17 @@ impl ServerHandle {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
+        // The drain is a store-less item's only state write, so one
+        // failed write skips no other: every item's files are attempted
+        // and the first error is returned.
+        let mut drained = Ok(());
         for item in &self.inner.items {
-            if let Some(path) = &item.checkpoint {
-                self.inner.write_checkpoint(path, item)?;
+            if let (Some(path), None) = (&item.checkpoint, &item.store_dir) {
+                let saved = checkpoint::save_state(path, &item.state.fold());
+                drained = drained.and(saved.map_err(ServeError::from));
             }
+            let looks = item.looks.lock().expect("look mutex poisoned");
+            drained = drained.and(self.inner.save_looks(item, &looks));
         }
         // Every acknowledged append is already durable; closing just
         // joins the writer thread so the store directory is quiescent
@@ -1453,7 +1447,7 @@ impl ServerHandle {
         if let Some(writer) = &self.inner.store {
             writer.close();
         }
-        Ok(())
+        drained
     }
 
     /// [`request_shutdown`](ServerHandle::request_shutdown) +
@@ -1559,7 +1553,6 @@ mod tests {
         assert_eq!(reply.segment_events, 1);
         assert_eq!(reply.segment_skipped.bad_json, 1);
         assert_eq!(reply.total_exposure_hours, 8.0);
-        assert!(!reply.checkpointed);
 
         let (status, body) = get(addr, "/v1/burndown");
         assert_eq!(status, 200);
@@ -1671,6 +1664,7 @@ mod tests {
             let _ = std::fs::remove_dir_all(&dir);
             std::fs::create_dir_all(&dir).unwrap();
             let ckpt = dir.join("fleet.ckpt");
+            let sidecar = LookBook::sidecar_path(&ckpt);
             let mut config = test_config();
             config.burndown.sequential = true;
             config.checkpoint = Some(ckpt.clone());
@@ -1679,24 +1673,44 @@ mod tests {
             }
             let handle = Server::start(config.clone()).unwrap();
             let addr = handle.addr();
-            // First look over clean exposure: everything Ok, no transitions.
+            // Uploads write nothing: no state file before the drain, no
+            // sidecar before the first look.
             let exposure = "{\"v\":1,\"event\":\"exposure\",\"vehicle\":\"V1\",\"hours\":8.0}\n";
             assert_eq!(post(addr, "/v1/ingest", exposure).0, 200);
-            assert_eq!(get(addr, "/v1/burndown").0, 200);
+            assert!(!ckpt.exists(), "an upload wrote the state file");
+            assert!(!sidecar.exists(), "an upload wrote the look sidecar");
+            let written = |n: u64| format!("qrn_server_checkpoints_written_total {n}\n");
+            assert!(get(addr, "/metrics").1.contains(&written(0)));
+            // First look over clean exposure: everything Ok, no
+            // transitions, and the look is in the sidecar while the
+            // server still runs.
+            let (status, body) = get(addr, "/v1/burndown");
+            assert_eq!(status, 200);
+            let report: FleetReport = serde_json::from_str(&body).unwrap();
+            let book = LookBook::load_if_exists(&sidecar)
+                .unwrap()
+                .expect("a spent look writes the sidecar");
+            for goal in &report.goals {
+                assert_eq!(book.looks(goal.incident.as_str()), 1, "{book:?}");
+            }
+            assert!(!ckpt.exists(), "a look wrote the state file");
+            assert!(get(addr, "/metrics").1.contains(&written(1)));
             // 40 severe VRU collisions: I3 burns; the second look records
-            // the Ok → Burned edge.
+            // the Ok → Burned edge, durable before the drain.
             assert_eq!(post(addr, "/v1/ingest", &crash_lines(40)).0, 200);
             let (status, body) = get(addr, "/v1/burndown");
             assert_eq!(status, 200);
             let report: FleetReport = serde_json::from_str(&body).unwrap();
             let i3 = report.goal(&"I3".into()).unwrap();
             assert_eq!(i3.alert, qrn_fleet::AlertLevel::Burned, "{body}");
+            let running = LookBook::load_if_exists(&sidecar).unwrap().unwrap();
             handle.stop().unwrap();
             assert_eq!(ckpt.exists(), !with_store, "store mode wrote a state file");
 
-            let book = LookBook::load_if_exists(&LookBook::sidecar_path(&ckpt))
+            let book = LookBook::load_if_exists(&sidecar)
                 .unwrap()
                 .expect("final checkpoint writes the sidecar");
+            assert_eq!(book, running, "the drain changed the saved looks");
             let entry = book.goal("I3").unwrap();
             assert_eq!(entry.looks, 2);
             assert_eq!(entry.alert, qrn_fleet::AlertLevel::Burned);
@@ -1712,14 +1726,38 @@ mod tests {
             assert!(report.goals.iter().all(|g| g.looks == 3), "{body}");
             handle.stop().unwrap();
             assert_eq!(ckpt.exists(), !with_store, "store mode wrote a state file");
-            let book = LookBook::load_if_exists(&LookBook::sidecar_path(&ckpt))
-                .unwrap()
-                .unwrap();
+            let book = LookBook::load_if_exists(&sidecar).unwrap().unwrap();
             // The burned edge is still the only transition: the restart's
             // look observed the same level.
             assert_eq!(book.goal("I3").unwrap().transitions.len(), 1);
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    #[test]
+    fn a_failed_sidecar_save_answers_500_naming_it() {
+        let dir = std::env::temp_dir().join(format!("qrn-serve-badsidecar-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // A directory where the atomic write puts its temp file makes
+        // every sidecar save fail.
+        std::fs::create_dir_all(dir.join("fleet.ckpt.looks.json.tmp")).unwrap();
+        let mut config = test_config();
+        let classification = paper_classification().unwrap();
+        let allocation = paper_allocation(&classification).unwrap();
+        config.add_item("vru", paper_norm().unwrap(), classification, allocation);
+        config.checkpoint = Some(dir.join("fleet.ckpt"));
+        let handle = Server::start(config).unwrap();
+        let (status, body) = get(handle.addr(), "/v1/burndown");
+        assert_eq!(status, 500, "{body}");
+        assert!(body.contains("look sidecar write failed"), "{body}");
+        let log = "{\"v\":1,\"event\":\"exposure\",\"vehicle\":\"V1\",\"hours\":4.0}";
+        assert_eq!(post(handle.addr(), "/v1/vru/ingest", log).0, 200);
+        assert!(handle.stop().is_err(), "the drain saved the sidecar");
+        // The default item's failure costs the other item no write.
+        let vru = checkpoint::item_checkpoint_path(&dir.join("fleet.ckpt"), "vru");
+        let state = checkpoint::load_state_if_exists(&vru).unwrap().unwrap();
+        assert_eq!(state.events(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The sharded live state: N ledger shards behind their own locks, one
 //! striped vehicle roster, a lock-free ingest handoff, and two reads —
 //! a ledger-only [`ShardedState::snapshot`] for burn-down and `/metrics`
-//! and the full [`ShardedState::fold`] for store-less checkpoints.
+//! and the full [`ShardedState::fold`] for the store-less drain.
 //!
 //! # Why sharding preserves byte-identity
 //!
@@ -36,9 +36,9 @@
 //! and the per-vehicle tallies live exactly once, in the striped
 //! vehicle registry. [`ShardedState::snapshot`] merges the shard
 //! ledgers and takes the vehicle count from the registry's atomic, so
-//! its cost is flat in fleet size. [`ShardedState::fold`], which
-//! store-less checkpoints need, adds the roster assembled
-//! from the stripes and serialises exactly as the per-shard rosters did.
+//! its cost is flat in fleet size. [`ShardedState::fold`], which the
+//! store-less drain needs, adds the roster assembled from the stripes
+//! and serialises exactly as the per-shard rosters did.
 //!
 //! Lock order is always shard → stripe. Ingest takes one shard lock,
 //! merges the segment's totals into that shard and — still holding it —
@@ -338,7 +338,7 @@ impl ShardedState {
     /// byte-identical to merging every ingested segment in arrival
     /// order. Holding all shard locks while the roster is assembled
     /// makes the fold consistent (no segment is half-visible). Costs
-    /// O(vehicles); store-less checkpoints need it, reads and store-mode
+    /// O(vehicles); the store-less drain needs it, reads and store-mode
     /// serving do not (see [`ShardedState::snapshot`]).
     pub fn fold(&self) -> FleetState {
         let (_guards, mut state) = self.fold_totals();

@@ -302,18 +302,13 @@ impl ReplayState {
                     StoreError::Corrupt("batch payload is not valid UTF-8".to_string())
                 })?;
                 let segment = ingest_str(text, classification, shards)?;
-                self.events_since_snapshot += segment.events();
-                self.state.merge(&segment);
                 // The stored text is the *screened* batch: screening it
                 // again from the cursors it was screened against keeps
                 // every line and rebuilds the exact cursors.
                 for line in text.lines() {
                     screen_line(line, &mut self.cursors);
                 }
-                self.duplicates += u64::from(record.duplicates);
-                self.gap_events += u64::from(record.gap_events);
-                self.missing_seqs += u64::from(record.missing_seqs);
-                self.batches += 1;
+                self.fold_batch(&segment, record);
             }
             RecordKind::Snapshot => {
                 let text = std::str::from_utf8(&record.payload).map_err(|_| {
@@ -329,10 +324,24 @@ impl ReplayState {
                 self.missing_seqs = payload.missing_seqs;
                 self.snapshots += 1;
                 self.events_since_snapshot = 0;
+                self.last_ts = self.last_ts.max(record.ts);
             }
         }
-        self.last_ts = self.last_ts.max(record.ts);
         Ok(())
+    }
+
+    /// Folds one batch record, already parsed into `segment`, into the
+    /// running state: the merge, the screening tallies, the batch count,
+    /// the record time and the snapshot cadence. A replay and the live
+    /// writer both fold batches through here.
+    pub(crate) fn fold_batch(&mut self, segment: &FleetState, record: &Record) {
+        self.state.merge(segment);
+        self.duplicates += u64::from(record.duplicates);
+        self.gap_events += u64::from(record.gap_events);
+        self.missing_seqs += u64::from(record.missing_seqs);
+        self.batches += 1;
+        self.last_ts = self.last_ts.max(record.ts);
+        self.events_since_snapshot += segment.events();
     }
 }
 

@@ -439,14 +439,7 @@ impl Store {
             payload: screened.kept.into_bytes(),
         };
         let stored_bytes = self.write_record(&record, sync_now)?;
-
-        self.replay.state.merge(&segment);
-        self.replay.duplicates += u64::from(screened.duplicates);
-        self.replay.gap_events += u64::from(screened.gap_events);
-        self.replay.missing_seqs += u64::from(screened.missing_seqs);
-        self.replay.last_ts = ts;
-        self.replay.batches += 1;
-        self.replay.events_since_snapshot += segment.events();
+        self.replay.fold_batch(&segment, &record);
 
         let mut snapshot_written = false;
         if self.config.snapshot_every_events > 0

@@ -2,7 +2,10 @@
 //!
 //! The fixtures under `tests/fixtures/metrics_golden/` were scraped from
 //! the server as it stood *before* its item-labelled families were
-//! rendered from one table, and no test rewrites them. The other
+//! rendered from one table, and no test rewrites them. Since then only
+//! the `qrn_server_checkpoints_written_total` HELP line has changed, when
+//! that counter moved from uploads to spent looks and drains; its sample
+//! reads 3 either way (three uploads then, three looks now). The other
 //! `/metrics` tests check single lines or the format's structure; this
 //! one pins every family, label and value of a whole scrape.
 //!
