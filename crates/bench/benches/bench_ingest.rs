@@ -6,14 +6,15 @@
 //! After the criterion groups run, the harness writes the machine-local
 //! perf baseline `results/BENCH_ingest.json`: lines/second for the fast
 //! and fallback parsers (asserting the fast path is never slower),
-//! events/second through `ingest_str` (a one-block log at one shard and
-//! a 2,048-line log at two shards), and accepted events/second under
-//! concurrent store-backed POSTs for group-commit caps 1 (one fsync per
-//! batch) and the default (one fsync per drained group), each the median
-//! and quartiles of repeated runs. The absolute
-//! numbers are machine-local; on a 1-CPU container the serve rows show
-//! fsync amortisation only, not the multi-core scaling an ingestion
-//! host would see.
+//! events/second through `ingest_str` (a one-block log at one shard, a
+//! 2,048-line log at two shards, a 432-line banded upload at one shard
+//! and a 4,096-line log whose every line carries its own context key),
+//! and accepted events/second under concurrent store-backed POSTs for
+//! group-commit caps 1 (one fsync per batch) and the default (one fsync
+//! per drained group), each the median and quartiles of repeated runs.
+//! The absolute numbers are machine-local; on a 1-CPU container the
+//! serve rows show fsync amortisation only, not the multi-core scaling
+//! an ingestion host would see.
 
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
@@ -24,7 +25,7 @@ use std::time::Instant;
 use qrn_bench::report::{insert_quartiles, save_json};
 use qrn_core::examples::{paper_allocation, paper_classification, paper_norm};
 use qrn_fleet::event::fastpath::try_parse_strict;
-use qrn_fleet::event::{parse_line_with_meta, parse_line_with_seq};
+use qrn_fleet::event::{parse_line_with_meta, parse_line_with_seq, FleetEvent};
 use qrn_fleet::ingest_str;
 use qrn_fleet::telemetry::{Scenario, TelemetryConfig};
 use qrn_serve::{ServeConfig, Server};
@@ -32,6 +33,11 @@ use qrn_units::Hours;
 
 /// Lines of the multi-block `ingest_str` row: four 512-line blocks.
 const MULTI_BLOCK_LINES: usize = 2048;
+/// Lines of the banded `ingest_str` row: one upload of 8 vehicles × 54
+/// lines, the shape the serve benchmarks post.
+const UPLOAD_LINES: usize = 432;
+/// Lines of the distinct-context `ingest_str` row: eight blocks.
+const DISTINCT_CTX_LINES: usize = 4096;
 
 fn quick() -> bool {
     std::env::var("QRN_BENCH_QUICK").is_ok_and(|v| v != "0" && !v.is_empty())
@@ -57,6 +63,39 @@ fn banded_log(vehicles: usize, hours: f64) -> String {
         .seed(17)
         .generate_jsonl()
         .expect("telemetry generates")
+}
+
+/// The first `lines` lines of `log`, each newline-terminated.
+fn first_lines(log: &str, lines: usize) -> String {
+    let text: String = log
+        .lines()
+        .take(lines)
+        .flat_map(|line| [line, "\n"])
+        .collect();
+    assert_eq!(text.lines().count(), lines);
+    text
+}
+
+/// A 432-line banded upload: eight vehicles, a handful of canonical
+/// context keys repeated on every line.
+fn banded_upload() -> String {
+    first_lines(&banded_log(8, 64.0), UPLOAD_LINES)
+}
+
+/// The worst case of a per-block context table: every line carries a
+/// context key no other line carries.
+fn distinct_ctx_log() -> String {
+    let mut log = String::new();
+    for i in 0..DISTINCT_CTX_LINES {
+        let event = FleetEvent::Exposure {
+            vehicle: format!("V{:04}", i % 8),
+            hours: Hours::new(0.25 * (1 + i % 4) as f64).expect("positive"),
+        };
+        let ctx = format!("lane=l{i:04},lighting=day,weather=clear,zone=urban");
+        event.render_line_meta_into(&mut log, None, Some(&ctx));
+        log.push('\n');
+    }
+    log
 }
 
 fn bench_parse(c: &mut Criterion) {
@@ -116,6 +155,18 @@ fn bench_fold(c: &mut Criterion) {
                 b.iter(|| {
                     ingest_str(black_box(&log), &classification, shards).expect("clean log folds")
                 })
+            },
+        );
+    }
+    for (name, log) in [
+        ("ctx", banded_upload()),
+        ("distinct_ctx", distinct_ctx_log()),
+    ] {
+        let lines = log.lines().count();
+        c.bench_function(
+            format!("ingest/ingest_str_{name}_{lines}_lines_1_shards").as_str(),
+            |b| {
+                b.iter(|| ingest_str(black_box(&log), &classification, 1).expect("clean log folds"))
             },
         );
     }
@@ -321,13 +372,11 @@ fn emit_ingest_baseline() {
         row
     };
     let fold = timed_fold(&log, 1);
-    let multi_block: String = banded_log(8, 320.0)
-        .lines()
-        .take(MULTI_BLOCK_LINES)
-        .flat_map(|line| [line, "\n"])
-        .collect();
-    assert_eq!(multi_block.lines().count(), MULTI_BLOCK_LINES);
-    let fold_multi_block = timed_fold(&multi_block, 2);
+    let fold_multi_block = timed_fold(&first_lines(&banded_log(8, 320.0), MULTI_BLOCK_LINES), 2);
+    // Context-stamped folds: a banded upload, whose few keys repeat on
+    // every line, and the worst case of every key distinct.
+    let fold_ctx = timed_fold(&banded_upload(), 1);
+    let fold_distinct_ctx = timed_fold(&distinct_ctx_log(), 1);
 
     let group_commit_max = qrn_store::writer::DEFAULT_GROUP_COMMIT;
     let mut serve_store = serde_json::json!({
@@ -361,6 +410,8 @@ fn emit_ingest_baseline() {
             "parse_ctx": parse_ctx,
             "fold": fold,
             "fold_multi_block": fold_multi_block,
+            "fold_ctx": fold_ctx,
+            "fold_distinct_ctx": fold_distinct_ctx,
             "serve_store": serve_store,
             "note": "machine-local, median and quartiles of repeated runs: parse rows \
                      compare the zero-allocation scanner with the tolerant serde \

@@ -7,11 +7,18 @@
 //! strings they generate, digits-only `seq`/`v`. This module scans that
 //! shape directly — borrowing the vehicle id and the context key from
 //! the input line, building no `Value` tree, allocating nothing — and
-//! *refuses* everything else. Any deviation (reordered keys, whitespace, an escaped
-//! string, an unknown field, a newer version, a semantic error such as
-//! negative hours) makes the strict scanner bail, and
-//! [`parse_line_hybrid`] falls back to the tolerant `Value`-based
+//! *refuses* everything else. Any deviation (reordered keys, whitespace,
+//! an escaped string, an unknown field, a newer version, a context key
+//! outside the canonical grammar, a semantic error such as negative
+//! hours) makes the strict scanner bail, and [`parse_line_hybrid`] falls
+//! back to the tolerant `Value`-based
 //! [`parse_line_with_seq`](super::parse_line_with_seq).
+//!
+//! The ingest fold ([`crate::ingest`]) runs the same scanner without the
+//! context-key check (`scan_canonical`) and checks each distinct key
+//! once per 512-line block instead of once per line; a key that fails
+//! sends its line to the tolerant parser exactly as
+//! [`try_parse_strict`] would.
 //!
 //! The fast path therefore never makes a *skip* decision of its own:
 //! every line it accepts is one the tolerant parser provably accepts with
@@ -76,8 +83,25 @@ impl FastEvent<'_> {
     }
 }
 
-/// Outcome of [`parse_line_hybrid`]: the four-way split the ingest fold
-/// dispatches on.
+impl<'a> From<&'a FleetEvent> for FastEvent<'a> {
+    /// The borrowing view of an owned event, so a fold can take events
+    /// from either parser through one path.
+    fn from(event: &'a FleetEvent) -> Self {
+        match event {
+            FleetEvent::Exposure { vehicle, hours } => FastEvent::Exposure {
+                vehicle,
+                hours: *hours,
+            },
+            FleetEvent::Incident { vehicle, record } => FastEvent::Incident {
+                vehicle,
+                record: *record,
+            },
+        }
+    }
+}
+
+/// Outcome of [`parse_line_hybrid`]: the four-way split a per-line
+/// consumer (the store's sequence screen) dispatches on.
 #[derive(Debug)]
 pub enum ParsedLine<'a> {
     /// Blank or whitespace-only line (a log separator).
@@ -103,7 +127,7 @@ impl ParsedLine<'_> {
 
     /// The owned `(event, seq, ctx)` this outcome denotes, if any — the
     /// shape [`parse_line_with_meta`] returns, used by the differential
-    /// tests and the context-attributing fold.
+    /// tests.
     pub fn to_owned_meta(&self) -> Result<Option<super::EventMeta>, SkipReason> {
         match self {
             ParsedLine::Blank => Ok(None),
@@ -165,11 +189,6 @@ impl ScratchParser {
         }
         &self.spans
     }
-
-    /// Parses one line via [`parse_line_hybrid`].
-    pub fn parse<'t>(&mut self, line: &'t str) -> ParsedLine<'t> {
-        parse_line_hybrid(line)
-    }
 }
 
 /// Attempts the strict canonical-shape parse. `None` means "let the
@@ -177,19 +196,32 @@ impl ScratchParser {
 /// well-formed lines this scanner does not cover (non-canonical key
 /// order, escaped strings, extra fields, `v:0`, semantic errors), so a
 /// `None` carries no verdict about the line.
+///
+/// This is `scan_canonical` plus the context-key grammar check: a ctx
+/// that is not a canonical key bails so the tolerant parser can classify
+/// it (InvalidValue).
 pub fn try_parse_strict(line: &str) -> Option<(FastEvent<'_>, Option<u64>, Option<&str>)> {
+    let parsed = scan_canonical(line)?;
+    match parsed.2 {
+        Some(key) if !qrn_odd::key::is_canonical_key(key) => None,
+        _ => Some(parsed),
+    }
+}
+
+/// The strict scanner of [`try_parse_strict`] *without* the context-key
+/// grammar check: the ctx it returns is the raw borrowed bytes of a
+/// plain (escape-free) JSON string, not yet known to be a canonical key.
+/// The ingest fold calls it and checks each distinct key once per block
+/// instead of once per line; every other caller wants
+/// [`try_parse_strict`].
+pub(crate) fn scan_canonical(line: &str) -> Option<(FastEvent<'_>, Option<u64>, Option<&str>)> {
     let mut scan = Scan::new(line);
     scan.lit("{")?;
     // The optional leading ODD-band context key: `"ctx"` sorts before
     // `"event"`, so a canonical ctx-stamped line leads with it. The key
-    // bytes are borrowed, and the grammar check is allocation-free; a
-    // ctx that is not a canonical key bails so the tolerant parser can
-    // classify it (InvalidValue).
+    // bytes are borrowed.
     let ctx = if scan.lit("\"ctx\":").is_some() {
         let key = scan.plain_string()?;
-        if !qrn_odd::key::is_canonical_key(key) {
-            return None;
-        }
         scan.lit(",")?;
         Some(key)
     } else {

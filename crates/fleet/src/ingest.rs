@@ -15,11 +15,22 @@
 //! [`FleetState`] — including its floating-point exposure sums — is
 //! byte-identical for any number of shards.
 //!
+//! Within a block, exposure goes into the ledger once per row, not once
+//! per line. The accumulator keeps a block-local table of the ODD-band
+//! context keys its lines carry, looked up by the key's bytes (the last
+//! hit first, then a linear scan, then a hashed index past 16 keys). A
+//! key is checked against the canonical grammar the first time the block
+//! sees it, and a key that fails sends its line to the tolerant parser.
+//! Each row's exposure, and the global row's, is summed in line order
+//! from `0.0` and written into the block's ledger when the block ends;
+//! `0 + x = x`, so every row holds the bits a per-line add leaves.
+//!
 //! Memory is O(vehicles + incident types + shards·block): raw events are
 //! never materialised for the whole log, so a log of a billion lines
 //! streams through a fixed-size working set per shard.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
@@ -27,12 +38,13 @@ use serde::{Deserialize, Serialize};
 use qrn_core::incident::{IncidentRecord, IncidentTypeId};
 use qrn_core::verification::MeasuredIncidents;
 use qrn_core::IncidentClassification;
+use qrn_odd::key::is_canonical_key;
 use qrn_stats::evidence::EvidenceLedger;
 use qrn_units::Hours;
 
 use crate::error::FleetError;
-use crate::event::fastpath::{self, FastEvent, ParsedLine, ScratchParser};
-use crate::event::{FleetEvent, SkipCounts};
+use crate::event::fastpath::{self, FastEvent, ScratchParser};
+use crate::event::{parse_line_with_meta, SkipCounts};
 
 /// Lines per work-queue block. Large enough to amortise the atomic claim
 /// over real parsing work, small enough that short logs still spread over
@@ -174,22 +186,9 @@ impl FleetState {
             .expect("vehicle was just ensured")
     }
 
-    /// Folds one exposure report, preserving the exact arithmetic of the
-    /// sequential reference (`0.0 + h` on first sight). Context-stamped
-    /// reports are double-entry: the global row keeps the fleet total
-    /// (so ctx-less consumers see unchanged sums) and the named row
-    /// attributes the same hours to their ODD band.
-    fn fold_exposure(&mut self, vehicle: &str, hours: Hours, ctx: Option<&str>) {
-        self.evidence.add_exposure(None, hours.value());
-        if let Some(ctx) = ctx {
-            self.evidence.add_exposure(Some(ctx), hours.value());
-        }
-        self.vehicle_entry(vehicle).exposure_hours += hours.value();
-    }
-
     /// Folds one incident observation, classifying against
-    /// `classification`. Like exposure, a context-stamped incident counts
-    /// in the global row and in its band's refinement row.
+    /// `classification`. A context-stamped incident counts in the global
+    /// row and in its band's refinement row.
     fn fold_incident(
         &mut self,
         vehicle: &str,
@@ -280,45 +279,156 @@ where
     merged
 }
 
-/// One shard's partial state over a contiguous run of blocks.
+/// Distinct context keys a block's table scans linearly; past this many
+/// it switches to a hashed index. A banded upload carries one key per
+/// vehicle, a handful per block.
+const LINEAR_CONTEXTS: usize = 16;
+
+/// One block's partial state: the ledger, roster and tallies folded so
+/// far, plus the exposure sums of the ledger rows the block touches,
+/// which are written into the ledger once, when the block ends.
 #[derive(Debug, Default)]
-struct ShardAccumulator {
+struct ShardAccumulator<'t> {
     state: FleetState,
+    /// The global row's exposure sum, once an exposure line was folded.
+    global: Option<f64>,
+    contexts: ContextTable<'t>,
 }
 
-impl ShardAccumulator {
+/// The named context rows one block touches, each with its exposure sum
+/// in line order, keyed by the bytes of its canonical ODD-band key.
+#[derive(Debug, Default)]
+struct ContextTable<'t> {
+    /// Rows in first-sight order.
+    rows: Vec<ContextRow<'t>>,
+    /// The row the previous lookup returned.
+    last: usize,
+    /// Key → row, filled once the block holds more than
+    /// `LINEAR_CONTEXTS` keys.
+    index: HashMap<Cow<'t, str>, usize>,
+}
+
+#[derive(Debug)]
+struct ContextRow<'t> {
+    /// Borrowed from the line for the fast path, owned for a key the
+    /// tolerant parser decoded.
+    key: Cow<'t, str>,
+    exposure: f64,
+}
+
+impl<'t> ContextTable<'t> {
+    /// The row of `key`, or `None` when `key` is not a canonical context
+    /// key. A key is checked with [`is_canonical_key`] only the first
+    /// time the block sees it: whether a key is canonical depends on its
+    /// bytes alone, so a key that is in the table passed.
+    fn row(&mut self, key: Cow<'t, str>) -> Option<&mut ContextRow<'t>> {
+        let hit = if self.rows.get(self.last).is_some_and(|row| row.key == key) {
+            Some(self.last)
+        } else if self.rows.len() <= LINEAR_CONTEXTS {
+            self.rows.iter().position(|row| row.key == key)
+        } else {
+            self.index.get(&*key).copied()
+        };
+        self.last = match hit {
+            Some(at) => at,
+            None => {
+                if !is_canonical_key(&key) {
+                    return None;
+                }
+                self.rows.push(ContextRow { key, exposure: 0.0 });
+                if self.rows.len() > LINEAR_CONTEXTS {
+                    // Every row when the table first outgrows the scan,
+                    // only the new one after.
+                    for (at, row) in self.rows.iter().enumerate().skip(self.index.len()) {
+                        self.index.insert(row.key.clone(), at);
+                    }
+                }
+                self.rows.len() - 1
+            }
+        };
+        Some(&mut self.rows[self.last])
+    }
+}
+
+impl<'t> ShardAccumulator<'t> {
     /// Folds one line, in line order within the block. Canonical lines
-    /// take the zero-allocation fast path — the vehicle id borrows from
-    /// the input all the way into the interned lookup — and everything
-    /// else goes through the tolerant fallback with identical semantics.
-    fn absorb_line(&mut self, line: &str, classification: &IncidentClassification) {
-        let s = &mut self.state;
-        s.lines += 1;
-        match fastpath::parse_line_hybrid(line) {
-            ParsedLine::Blank => {}
-            ParsedLine::Fast(event, _seq, ctx) => {
-                s.events += 1;
-                match event {
-                    FastEvent::Exposure { vehicle, hours } => s.fold_exposure(vehicle, hours, ctx),
-                    FastEvent::Incident { vehicle, record } => {
-                        s.fold_incident(vehicle, &record, classification, ctx);
-                    }
-                }
-            }
-            ParsedLine::Owned(event, _seq, ctx) => {
-                s.events += 1;
-                let ctx = ctx.as_deref();
-                match &event {
-                    FleetEvent::Exposure { vehicle, hours } => {
-                        s.fold_exposure(vehicle, *hours, ctx);
-                    }
-                    FleetEvent::Incident { vehicle, record } => {
-                        s.fold_incident(vehicle, record, classification, ctx);
-                    }
-                }
-            }
-            ParsedLine::Skip(reason) => s.skipped.count(reason),
+    /// take the zero-allocation fast path — the vehicle id and the
+    /// context key borrow from the input all the way into the lookups —
+    /// and everything else goes through the tolerant fallback with
+    /// identical semantics: a line whose context key is not canonical
+    /// falls back exactly as under [`fastpath::try_parse_strict`].
+    fn absorb_line(&mut self, line: &'t str, classification: &IncidentClassification) {
+        self.state.lines += 1;
+        let line = line.trim();
+        if line.is_empty() {
+            return;
         }
+        if let Some((event, _seq, ctx)) = fastpath::scan_canonical(line) {
+            if self.fold(event, ctx.map(Cow::Borrowed), classification) {
+                return;
+            }
+        }
+        match parse_line_with_meta(line) {
+            Ok(None) => {}
+            Ok(Some((event, _seq, ctx))) => {
+                let folded = self.fold((&event).into(), ctx.map(Cow::Owned), classification);
+                assert!(folded, "the tolerant parser returns canonical keys only");
+            }
+            Err(reason) => self.state.skipped.count(reason),
+        }
+    }
+
+    /// Folds one event. Context-stamped events are double-entry: the
+    /// global row keeps the fleet total (so ctx-less consumers see
+    /// unchanged sums) and the named row attributes the same hours or
+    /// incident to its ODD band. Returns `false`, folding nothing, when
+    /// `ctx` is not a canonical key.
+    fn fold(
+        &mut self,
+        event: FastEvent<'_>,
+        ctx: Option<Cow<'t, str>>,
+        classification: &IncidentClassification,
+    ) -> bool {
+        let row = match ctx {
+            None => None,
+            Some(key) => match self.contexts.row(key) {
+                Some(row) => Some(row),
+                None => return false,
+            },
+        };
+        let state = &mut self.state;
+        state.events += 1;
+        match event {
+            FastEvent::Exposure { vehicle, hours } => {
+                let hours = hours.value();
+                *self.global.get_or_insert(0.0) += hours;
+                if let Some(row) = row {
+                    row.exposure += hours;
+                }
+                state.vehicle_entry(vehicle).exposure_hours += hours;
+            }
+            FastEvent::Incident { vehicle, record } => {
+                let ctx = row.map(|row| &*row.key);
+                state.fold_incident(vehicle, &record, classification, ctx);
+            }
+        }
+        true
+    }
+
+    /// Writes each touched row's exposure sum into the block's ledger.
+    /// Every sum ran in line order from `0.0` and lands on a row whose
+    /// exposure is still `0.0`, and `0 + x = x`: each row holds the bits
+    /// a per-line add would have left, and the block touches the same
+    /// rows.
+    fn finish(self) -> FleetState {
+        let mut state = self.state;
+        if let Some(hours) = self.global {
+            state.evidence.add_exposure(None, hours);
+        }
+        for row in self.contexts.rows {
+            state.evidence.add_exposure(Some(&row.key), row.exposure);
+        }
+        state
     }
 }
 
@@ -389,13 +499,13 @@ pub fn ingest_str_with_scratch(
             for &(start, end) in &spans[first..last] {
                 acc.absorb_line(&text[start..end], classification);
             }
-            local.push((block, acc));
+            local.push((block, acc.finish()));
         }
         local
     };
     // The caller is one of the workers: a one-block log spawns no thread.
     let workers = shards.min(blocks as usize);
-    let mut partials: Vec<(u64, ShardAccumulator)> = std::thread::scope(|scope| {
+    let mut partials: Vec<(u64, FleetState)> = std::thread::scope(|scope| {
         let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(claim_blocks)).collect();
         let mut partials = claim_blocks();
         for helper in helpers {
@@ -410,7 +520,7 @@ pub fn ingest_str_with_scratch(
     // state: every tally is a non-negative sum from zero, so
     // `0 + x = x` makes the two bit-identical.
     partials.sort_unstable_by_key(|(block, _)| *block);
-    let mut states = partials.into_iter().map(|(_, partial)| partial.state);
+    let mut states = partials.into_iter().map(|(_, state)| state);
     let mut merged = states.next().unwrap_or_default();
     for state in states {
         merged.merge(&state);
@@ -421,7 +531,8 @@ pub fn ingest_str_with_scratch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::to_jsonl;
+    use crate::event::fastpath::ParsedLine;
+    use crate::event::{to_jsonl, FleetEvent};
     use qrn_core::examples::paper_classification;
     use qrn_core::incident::IncidentRecord;
     use qrn_core::object::{Involvement, ObjectType};
@@ -742,6 +853,183 @@ mod tests {
                 serde_json::to_string(&merged).unwrap(),
                 serde_json::to_string(&whole).unwrap()
             );
+        }
+    }
+
+    /// The per-line fold the block context table replaced: each line
+    /// parsed by the tolerant parser alone and each event added to the
+    /// ledger rows on its own, in blocks of `LINES_PER_BLOCK` lines
+    /// merged in block order.
+    fn reference_fold(text: &str, classification: &IncidentClassification) -> FleetState {
+        let lines: Vec<&str> = text.lines().collect();
+        let mut blocks = lines.chunks(LINES_PER_BLOCK).map(|block| {
+            let mut s = FleetState::default();
+            for line in block {
+                s.lines += 1;
+                let (event, ctx) = match parse_line_with_meta(line) {
+                    Ok(Some((event, _seq, ctx))) => (event, ctx),
+                    Ok(None) => continue,
+                    Err(reason) => {
+                        s.skipped.count(reason);
+                        continue;
+                    }
+                };
+                s.events += 1;
+                let rows = [None, ctx.as_deref()];
+                let rows = &rows[..if ctx.is_some() { 2 } else { 1 }];
+                match event {
+                    FleetEvent::Exposure { vehicle, hours } => {
+                        for &row in rows {
+                            s.evidence.add_exposure(row, hours.value());
+                        }
+                        s.vehicle_entry(&vehicle).exposure_hours += hours.value();
+                    }
+                    FleetEvent::Incident { vehicle, record } => {
+                        s.vehicle_entry(&vehicle).observations += 1;
+                        let leaf = classification.classify(&record);
+                        for &row in rows {
+                            match leaf {
+                                Some(leaf) => s.evidence.add_incident(row, leaf.id().as_str(), 1.0),
+                                None => s.evidence.add_unclassified(row, 1.0),
+                            }
+                        }
+                    }
+                }
+            }
+            s
+        });
+        let mut merged = blocks.next().unwrap_or_default();
+        for block in blocks {
+            merged.merge(&block);
+        }
+        merged
+    }
+
+    /// Keys outside the canonical grammar: dimensions out of order, an
+    /// empty key, an upper-case dimension, a pair without `=`.
+    const INVALID_KEYS: [&str; 4] = ["zone=urban,lighting=day", "", "Zone=urban", "zone"];
+
+    /// One line of a fold-differential log. `shape` picks the form:
+    /// canonical ctx-stamped or ctx-less exposure, canonical incident,
+    /// the same key in a tolerant form (a space in the line, an escaped
+    /// `=` in the key, a spaced incident), an invalid or non-string key,
+    /// a blank or a corrupt line.
+    fn fold_line(shape: u8, key: &str, vehicle: usize, hours: f64, speed: u32) -> String {
+        let vehicle = format!("V{vehicle:02}");
+        let exposure = FleetEvent::Exposure {
+            vehicle: vehicle.clone(),
+            hours: Hours::new(hours).unwrap(),
+        };
+        let incident = FleetEvent::Incident {
+            vehicle,
+            record: IncidentRecord::collision(
+                Involvement::ego_with(ObjectType::Vru),
+                Speed::from_kmh(f64::from(speed)).unwrap(),
+            ),
+        };
+        let stamped = exposure.to_line_with_meta(None, Some(key));
+        match shape {
+            0..=3 => stamped,
+            4 => exposure.to_line(),
+            5 => incident.to_line_with_meta(None, Some(key)),
+            6 => stamped.replacen("\"hours\":", "\"hours\": ", 1),
+            7 => stamped.replacen('=', "\\u003d", 1),
+            8 => incident.to_line_with_meta(None, Some(key)).replacen(
+                "\"record\":",
+                "\"record\": ",
+                1,
+            ),
+            9 => exposure.to_line_with_meta(None, Some(INVALID_KEYS[speed as usize % 4])),
+            10 => stamped.replacen(&format!("\"{key}\""), "7", 1),
+            11 => " ".repeat(speed as usize % 3),
+            _ => "{corrupt".to_string(),
+        }
+    }
+
+    /// Asserts `ingest_str` at 1–8 shards gives the reference fold's
+    /// serde bytes.
+    fn assert_fold_matches_reference(log: &str) {
+        let classification = paper_classification().unwrap();
+        let reference = serde_json::to_string(&reference_fold(log, &classification)).unwrap();
+        for shards in 1..=8 {
+            let state = ingest_str(log, &classification, shards).unwrap();
+            prop_assert_eq!(
+                &serde_json::to_string(&state).unwrap(),
+                &reference,
+                "shards={}",
+                shards
+            );
+        }
+    }
+
+    /// Hours spread over twenty binary orders of magnitude, so a sum
+    /// regrouped anywhere rounds differently, with exact zeros and a
+    /// negative zero in the mix: `0 + x = x` must hold for every exposure
+    /// the scanner accepts.
+    fn arb_hours() -> impl Strategy<Value = f64> {
+        (0i32..22, 0.0f64..1.0).prop_map(|(scale, mantissa)| match scale {
+            0 => 0.0,
+            1 => -0.0,
+            _ => mantissa * 2f64.powi(scale - 12),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The block table folds a log of several blocks to the reference
+        /// fold's bytes: canonical, tolerant and invalid keys, blank and
+        /// corrupt lines and incidents, with arbitrary (not dyadic) hours,
+        /// so any change of summation order would show.
+        #[test]
+        fn fast_path_differential_fold_on_mixed_logs(
+            lines in proptest::collection::vec(
+                (0u8..13, 0usize..5, 0usize..6, arb_hours(), 1u32..90),
+                513..1300,
+            ),
+        ) {
+            const KEYS: [&str; 5] = [
+                "zone=urban",
+                "weather=fog,zone=urban",
+                "lighting=dusk,weather=rain,zone=highway",
+                "speed_limit_kmh=50.0,zone=urban",
+                "lighting=day,time_of_day=rush,weather=clear,zone=arterial",
+            ];
+            let mut log = String::new();
+            for (shape, key, vehicle, hours, speed) in lines {
+                log.push_str(&fold_line(shape, KEYS[key], vehicle, hours, speed));
+                log.push('\n');
+            }
+            assert_fold_matches_reference(&log);
+        }
+
+        /// A first block of 512 distinct keys, past the linear table into
+        /// the hashed index, some first seen in a tolerant form; later
+        /// blocks draw 64 of the same keys again in every form, so each
+        /// key is looked up many times per block.
+        #[test]
+        fn fast_path_differential_fold_on_distinct_keys(
+            later in proptest::collection::vec(
+                (0u8..13, 0usize..64, 0usize..6, arb_hours(), 1u32..90),
+                1..700,
+            ),
+            hours in proptest::collection::vec(arb_hours(), LINES_PER_BLOCK),
+        ) {
+            let key = |i: usize| format!("lane=l{i},zone=urban");
+            let mut log = String::new();
+            for (i, hours) in hours.into_iter().enumerate() {
+                let shape = [0, 5, 6, 7, 8][i % 5];
+                log.push_str(&fold_line(shape, &key(i), i % 6, hours, 30));
+                log.push('\n');
+            }
+            for (shape, i, vehicle, hours, speed) in later {
+                log.push_str(&fold_line(shape, &key(i), vehicle, hours, speed));
+                log.push('\n');
+            }
+            let classification = paper_classification().unwrap();
+            let state = ingest_str(&log, &classification, 1).unwrap();
+            prop_assert!(state.evidence().named_contexts().count() >= LINES_PER_BLOCK);
+            assert_fold_matches_reference(&log);
         }
     }
 
