@@ -7,8 +7,9 @@
 //! perf baseline `results/BENCH_ingest.json`: lines/second for the fast
 //! and fallback parsers (asserting the fast path is never slower),
 //! events/second through `ingest_str` (a one-block log at one shard, a
-//! 2,048-line log at two shards, a 432-line banded upload at one shard
-//! and a 4,096-line log whose every line carries its own context key),
+//! 2,048-line log at two shards, a 432-line upload in the shape
+//! `pipebench` posts at one shard and a 4,096-line log whose every line
+//! carries its own context key),
 //! and accepted events/second under concurrent store-backed POSTs for
 //! group-commit caps 1 (one fsync per batch) and the default (one fsync
 //! per drained group), each the median and quartiles of repeated runs.
@@ -24,18 +25,21 @@ use std::time::Instant;
 
 use qrn_bench::report::{insert_quartiles, save_json};
 use qrn_core::examples::{paper_allocation, paper_classification, paper_norm};
+use qrn_core::incident::IncidentRecord;
+use qrn_core::object::{Involvement, ObjectType};
 use qrn_fleet::event::fastpath::try_parse_strict;
 use qrn_fleet::event::{parse_line_with_meta, parse_line_with_seq, FleetEvent};
 use qrn_fleet::ingest_str;
 use qrn_fleet::telemetry::{Scenario, TelemetryConfig};
 use qrn_serve::{ServeConfig, Server};
-use qrn_units::Hours;
+use qrn_units::{Hours, Speed};
 
 /// Lines of the multi-block `ingest_str` row: four 512-line blocks.
 const MULTI_BLOCK_LINES: usize = 2048;
-/// Lines of the banded `ingest_str` row: one upload of 8 vehicles × 54
-/// lines, the shape the serve benchmarks post.
+/// Lines of the upload `ingest_str` row: one `pipebench` upload segment.
 const UPLOAD_LINES: usize = 432;
+/// Vehicles one upload segment interleaves.
+const UPLOAD_VEHICLES: usize = 8;
 /// Lines of the distinct-context `ingest_str` row: eight blocks.
 const DISTINCT_CTX_LINES: usize = 4096;
 
@@ -76,10 +80,43 @@ fn first_lines(log: &str, lines: usize) -> String {
     text
 }
 
-/// A 432-line banded upload: eight vehicles, a handful of canonical
-/// context keys repeated on every line.
-fn banded_upload() -> String {
-    first_lines(&banded_log(8, 64.0), UPLOAD_LINES)
+/// A 432-line upload in the shape `pipebench` posts: eight vehicles
+/// interleaved line by line (line `i` is vehicle `i % 8`'s), each in one
+/// canonical ODD band of its own, and one incident line in 64 (about
+/// 1.5 %), the rest exposure.
+fn upload_segment() -> String {
+    const BANDS: [&str; UPLOAD_VEHICLES] = [
+        "lighting=day,weather=clear,zone=urban",
+        "lighting=day,weather=fog,zone=highway",
+        "lighting=dusk,weather=rain,zone=school",
+        "lighting=night,weather=clear,zone=highway",
+        "lighting=day,weather=rain,zone=urban",
+        "lighting=dusk,weather=clear,zone=urban",
+        "lighting=night,weather=fog,zone=school",
+        "lighting=dusk,weather=fog,zone=highway",
+    ];
+    let mut log = String::new();
+    for i in 0..UPLOAD_LINES {
+        let slot = i % UPLOAD_VEHICLES;
+        let vehicle = format!("V{:06}", 40 + slot);
+        let event = if i % 64 == 63 {
+            FleetEvent::Incident {
+                vehicle,
+                record: IncidentRecord::collision(
+                    Involvement::ego_with(ObjectType::Vru),
+                    Speed::from_kmh(30.0).expect("positive speed"),
+                ),
+            }
+        } else {
+            FleetEvent::Exposure {
+                vehicle,
+                hours: Hours::new(0.25 * (1 + i / UPLOAD_VEHICLES % 4) as f64).expect("positive"),
+            }
+        };
+        event.render_line_meta_into(&mut log, None, Some(BANDS[slot]));
+        log.push('\n');
+    }
+    log
 }
 
 /// The worst case of a per-block context table: every line carries a
@@ -159,7 +196,7 @@ fn bench_fold(c: &mut Criterion) {
         );
     }
     for (name, log) in [
-        ("ctx", banded_upload()),
+        ("ctx", upload_segment()),
         ("distinct_ctx", distinct_ctx_log()),
     ] {
         let lines = log.lines().count();
@@ -373,9 +410,9 @@ fn emit_ingest_baseline() {
     };
     let fold = timed_fold(&log, 1);
     let fold_multi_block = timed_fold(&first_lines(&banded_log(8, 320.0), MULTI_BLOCK_LINES), 2);
-    // Context-stamped folds: a banded upload, whose few keys repeat on
-    // every line, and the worst case of every key distinct.
-    let fold_ctx = timed_fold(&banded_upload(), 1);
+    // Context-stamped folds: a pipebench-shaped upload, whose eight keys
+    // repeat across its lines, and the worst case of every key distinct.
+    let fold_ctx = timed_fold(&upload_segment(), 1);
     let fold_distinct_ctx = timed_fold(&distinct_ctx_log(), 1);
 
     let group_commit_max = qrn_store::writer::DEFAULT_GROUP_COMMIT;

@@ -17,13 +17,13 @@
 //!
 //! Within a block, exposure goes into the ledger once per row, not once
 //! per line. The accumulator keeps a block-local table of the ODD-band
-//! context keys its lines carry, looked up by the key's bytes (the last
-//! hit first, then a linear scan, then a hashed index past 16 keys). A
-//! key is checked against the canonical grammar the first time the block
-//! sees it, and a key that fails sends its line to the tolerant parser.
-//! Each row's exposure, and the global row's, is summed in line order
-//! from `0.0` and written into the block's ledger when the block ends;
-//! `0 + x = x`, so every row holds the bits a per-line add leaves.
+//! context keys its lines carry, looked up by the key's bytes (a linear
+//! scan, then a hashed index past 16 keys). A key is checked against
+//! the canonical grammar the first time the block sees it, and a key
+//! that fails sends its line to the tolerant parser. Each row's exposure,
+//! and the global row's, is summed in line order from `0.0` and written
+//! into the block's ledger when the block ends; `0 + x = x`, so every
+//! row holds the bits a per-line add leaves.
 //!
 //! Memory is O(vehicles + incident types + shards·block): raw events are
 //! never materialised for the whole log, so a log of a billion lines
@@ -301,8 +301,6 @@ struct ShardAccumulator<'t> {
 struct ContextTable<'t> {
     /// Rows in first-sight order.
     rows: Vec<ContextRow<'t>>,
-    /// The row the previous lookup returned.
-    last: usize,
     /// Key → row, filled once the block holds more than
     /// `LINEAR_CONTEXTS` keys.
     index: HashMap<Cow<'t, str>, usize>,
@@ -322,14 +320,12 @@ impl<'t> ContextTable<'t> {
     /// time the block sees it: whether a key is canonical depends on its
     /// bytes alone, so a key that is in the table passed.
     fn row(&mut self, key: Cow<'t, str>) -> Option<&mut ContextRow<'t>> {
-        let hit = if self.rows.get(self.last).is_some_and(|row| row.key == key) {
-            Some(self.last)
-        } else if self.rows.len() <= LINEAR_CONTEXTS {
+        let hit = if self.rows.len() <= LINEAR_CONTEXTS {
             self.rows.iter().position(|row| row.key == key)
         } else {
             self.index.get(&*key).copied()
         };
-        self.last = match hit {
+        let at = match hit {
             Some(at) => at,
             None => {
                 if !is_canonical_key(&key) {
@@ -346,7 +342,7 @@ impl<'t> ContextTable<'t> {
                 self.rows.len() - 1
             }
         };
-        Some(&mut self.rows[self.last])
+        Some(&mut self.rows[at])
     }
 }
 
@@ -419,14 +415,17 @@ impl<'t> ShardAccumulator<'t> {
     /// Every sum ran in line order from `0.0` and lands on a row whose
     /// exposure is still `0.0`, and `0 + x = x`: each row holds the bits
     /// a per-line add would have left, and the block touches the same
-    /// rows.
+    /// rows. A sum of finite hours can round to `+inf`, as the per-line
+    /// adds could, so only their sign is checked.
     fn finish(self) -> FleetState {
         let mut state = self.state;
         if let Some(hours) = self.global {
-            state.evidence.add_exposure(None, hours);
+            state.evidence.add_exposure_sum(None, hours);
         }
         for row in self.contexts.rows {
-            state.evidence.add_exposure(Some(&row.key), row.exposure);
+            state
+                .evidence
+                .add_exposure_sum(Some(&row.key), row.exposure);
         }
         state
     }
@@ -1030,6 +1029,23 @@ mod tests {
             let state = ingest_str(&log, &classification, 1).unwrap();
             prop_assert!(state.evidence().named_contexts().count() >= LINES_PER_BLOCK);
             assert_fold_matches_reference(&log);
+        }
+    }
+
+    /// Hours near `f64::MAX` pass the scanner one by one, but two of them
+    /// sum to `+inf`. The fold must take the upload, as per-line adds did,
+    /// whether both lines share a block or straddle two.
+    #[test]
+    fn fast_path_differential_fold_on_overflowing_sums() {
+        let line = r#"{"ctx":"zone=urban","event":"exposure","hours":1e308,"v":1,"vehicle":"V1"}"#;
+        let bare = r#"{"event":"exposure","hours":1e308,"v":1,"vehicle":"V1"}"#;
+        for lead in [0, LINES_PER_BLOCK - 1] {
+            let log = format!("{}{line}\n{line}\n{bare}\n{bare}\n", "\n".repeat(lead));
+            assert_fold_matches_reference(&log);
+            let classification = paper_classification().unwrap();
+            let state = ingest_str(&log, &classification, 1).unwrap();
+            assert_eq!(state.evidence().exposure(), f64::INFINITY);
+            assert_eq!(state.evidence().exposure_in("zone=urban"), f64::INFINITY);
         }
     }
 

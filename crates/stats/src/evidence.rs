@@ -165,6 +165,22 @@ impl EvidenceLedger {
         self.row(context).exposure_hours += check_hours(hours);
     }
 
+    /// Folds an already-accumulated exposure sum into a context row, the
+    /// way [`EvidenceLedger::merge`] adds another ledger's row. The hours
+    /// in the sum were checked one by one, but a sum of finite hours can
+    /// still round to `+inf`, so only its sign is checked here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hours` is negative or NaN.
+    pub fn add_exposure_sum(&mut self, context: Option<&str>, hours: f64) {
+        assert!(
+            hours >= 0.0,
+            "an exposure sum must be non-negative, got {hours}"
+        );
+        self.row(context).exposure_hours += hours;
+    }
+
     /// Records one incident observation of weighted mass `weight` for
     /// `kind` in a context row. A producer attributing evidence to a
     /// named context should record the same observation in the global
@@ -391,6 +407,17 @@ mod tests {
         assert_eq!(ledger.count_in("rural", "I2").observations(), 0);
         assert_eq!(ledger.named_contexts().count(), 1);
         assert_eq!(ledger.kinds(), vec!["I2"]);
+    }
+
+    #[test]
+    fn an_exposure_sum_adds_like_a_merged_row() {
+        let mut summed = EvidenceLedger::new();
+        summed.add_exposure_sum(Some("urban"), f64::MAX + f64::MAX);
+        let mut row = EvidenceLedger::new();
+        row.add_exposure(Some("urban"), f64::MAX);
+        let merged = row.clone().merged(&row);
+        assert_eq!(summed, merged);
+        assert_eq!(summed.exposure_in("urban"), f64::INFINITY);
     }
 
     #[test]
